@@ -59,7 +59,7 @@ void RunWorkload(benchmark::State& state, const SchemrService& service) {
 /// Baseline: the serving path with no audit log attached.
 void BM_SearchXml_AuditOff(benchmark::State& state) {
   const auto& fixture = bench::SharedFixture(kSchemas);
-  SchemrService service(fixture.repository.get(), &fixture.index());
+  SchemrService service(fixture.serving.get());
   RunWorkload(state, service);
 }
 BENCHMARK(BM_SearchXml_AuditOff)->Unit(benchmark::kMicrosecond);
@@ -67,7 +67,7 @@ BENCHMARK(BM_SearchXml_AuditOff)->Unit(benchmark::kMicrosecond);
 /// The always-on configuration: buffered appends, default thresholds.
 void BM_SearchXml_AuditOn(benchmark::State& state) {
   const auto& fixture = bench::SharedFixture(kSchemas);
-  SchemrService service(fixture.repository.get(), &fixture.index());
+  SchemrService service(fixture.serving.get());
   fs::path dir = AuditDir("on");
   if (Status s = service.EnableAudit(dir.string()); !s.ok()) {
     state.SkipWithError(s.ToString().c_str());
@@ -82,7 +82,7 @@ BENCHMARK(BM_SearchXml_AuditOn)->Unit(benchmark::kMicrosecond);
 /// Worst case: fsync after every record (off by default; quantifies why).
 void BM_SearchXml_AuditSync(benchmark::State& state) {
   const auto& fixture = bench::SharedFixture(kSchemas);
-  SchemrService service(fixture.repository.get(), &fixture.index());
+  SchemrService service(fixture.serving.get());
   fs::path dir = AuditDir("sync");
   AuditLogOptions options;
   options.sync_on_write = true;

@@ -12,6 +12,7 @@
 #include "bench_common.h"
 #include "core/candidate_extractor.h"
 #include "core/query_parser.h"
+#include "match/features.h"
 #include "match/name_matcher.h"
 
 namespace schemr {
@@ -21,7 +22,8 @@ void BM_CandidateExtraction(benchmark::State& state) {
   const CorpusFixture& fixture =
       bench::SharedFixture(static_cast<size_t>(state.range(0)));
   const auto& workload = bench::SharedWorkload(0.0);
-  CandidateExtractor extractor(&fixture.index());
+  const auto snapshot = fixture.serving->Snapshot();
+  CandidateExtractor extractor(snapshot->index.get());
   CandidateExtractorOptions options;
   options.pool_size = 50;
 
@@ -49,14 +51,24 @@ void BM_BruteForceScanBaseline(benchmark::State& state) {
       bench::SharedFixture(static_cast<size_t>(state.range(0)));
   const auto& workload = bench::SharedWorkload(0.0);
   NameMatcher matcher;
+  const auto snapshot = fixture.serving->Snapshot();
+  const MatchFeatureCatalog& catalog = *snapshot->match_features;
+  MatchScratch scratch;
 
   size_t qi = 0;
   for (auto _ : state) {
     auto query = ParseQuery(workload[qi % workload.size()].keywords);
     ++qi;
+    const Schema& query_schema = query->AsSchema();
+    const auto query_features =
+        BuildSchemaFeatures(query_schema, catalog.options());
     double best = 0.0;
-    for (const GeneratedSchema& g : fixture.corpus) {
-      SimilarityMatrix m = matcher.Match(query->AsSchema(), g.schema);
+    for (size_t k = 0; k < fixture.corpus.size(); ++k) {
+      const SchemaFeatures& features = *catalog.Find(fixture.ids[k]);
+      scratch.Reset(query_features->terms.size(), features.terms.size());
+      SimilarityMatrix m =
+          matcher.Match(query_schema, fixture.corpus[k].schema,
+                        MatchContext{*query_features, features, scratch});
       best = std::max(best, m.Mean());
     }
     benchmark::DoNotOptimize(best);
@@ -74,7 +86,8 @@ BENCHMARK(BM_BruteForceScanBaseline)
 void BM_CandidatePoolSize(benchmark::State& state) {
   const CorpusFixture& fixture = bench::SharedFixture(10000);
   const auto& workload = bench::SharedWorkload(0.0);
-  CandidateExtractor extractor(&fixture.index());
+  const auto snapshot = fixture.serving->Snapshot();
+  CandidateExtractor extractor(snapshot->index.get());
   CandidateExtractorOptions options;
   options.pool_size = static_cast<size_t>(state.range(0));
 

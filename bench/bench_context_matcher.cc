@@ -69,7 +69,7 @@ int Run() {
       {"name + context (exact)", NamePlusContext(false)},
   };
   for (Config& config : configs) {
-    SearchEngine engine(fixture->repository.get(), &fixture->index(),
+    SearchEngine engine(fixture->serving.get(),
                         std::move(config.ensemble));
     Timer timer;
     QualitySummary q = *EvaluateEngine(engine, *fixture, workload);

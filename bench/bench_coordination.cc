@@ -23,7 +23,8 @@ namespace {
 QualitySummary EvaluatePhase1(const CorpusFixture& fixture,
                               const std::vector<WorkloadQuery>& workload,
                               const CandidateExtractorOptions& options) {
-  CandidateExtractor extractor(&fixture.index());
+  const auto snapshot = fixture.serving->Snapshot();
+  CandidateExtractor extractor(snapshot->index.get());
   std::vector<double> p5, p10, r10, mrr, ap, ndcg;
   for (const WorkloadQuery& wq : workload) {
     auto rel_it = fixture.relevance.find(wq.concept_id);

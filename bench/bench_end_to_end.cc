@@ -22,7 +22,7 @@ void BM_EndToEndSearch(benchmark::State& state) {
   const CorpusFixture& fixture =
       bench::SharedFixture(static_cast<size_t>(state.range(0)));
   const auto& workload = bench::SharedWorkload(0.0);
-  SearchEngine engine(fixture.repository.get(), &fixture.index());
+  SearchEngine engine(fixture.serving.get());
   SearchEngineOptions options;
   options.extraction.pool_size = 50;
 
@@ -47,7 +47,7 @@ BENCHMARK(BM_EndToEndSearch)
 void BM_EndToEndPoolSweep(benchmark::State& state) {
   const CorpusFixture& fixture = bench::SharedFixture(10000);
   const auto& workload = bench::SharedWorkload(0.0);
-  SearchEngine engine(fixture.repository.get(), &fixture.index());
+  SearchEngine engine(fixture.serving.get());
   SearchEngineOptions options;
   options.extraction.pool_size = static_cast<size_t>(state.range(0));
 
@@ -73,7 +73,7 @@ BENCHMARK(BM_EndToEndPoolSweep)
 void BM_PhaseBreakdown(benchmark::State& state) {
   const CorpusFixture& fixture = bench::SharedFixture(10000);
   const auto& workload = bench::SharedWorkload(0.0);
-  SearchEngine engine(fixture.repository.get(), &fixture.index());
+  SearchEngine engine(fixture.serving.get());
   SearchEngineOptions options;
   options.enable_matching = state.range(0) >= 1;
   options.enable_tightness = state.range(0) >= 2;
@@ -97,7 +97,7 @@ BENCHMARK(BM_PhaseBreakdown)->Arg(0)->Arg(1)->Arg(2)->Unit(
 // get more rows.
 void BM_EndToEndFragmentQuery(benchmark::State& state) {
   const CorpusFixture& fixture = bench::SharedFixture(10000);
-  SearchEngine engine(fixture.repository.get(), &fixture.index());
+  SearchEngine engine(fixture.serving.get());
   auto query = ParseQuery(
       "diagnosis",
       "CREATE TABLE patient (height DOUBLE, gender VARCHAR(8), "

@@ -85,7 +85,7 @@ int Run() {
               "nDCG10");
 
   {
-    SearchEngine engine(fixture->repository.get(), &fixture->index());
+    SearchEngine engine(fixture->serving.get());
     QualitySummary q = *EvaluateEngine(engine, *fixture, workload);
     std::printf("  %-26s %7.3f %7.3f %7.3f\n", "uniform", q.precision_at_5,
                 q.mrr, q.ndcg_at_10);
@@ -93,7 +93,7 @@ int Run() {
   {
     MatcherEnsemble ensemble = MatcherEnsemble::Default();
     ensemble.SetWeights(final_model.NormalizedWeights());
-    SearchEngine engine(fixture->repository.get(), &fixture->index(),
+    SearchEngine engine(fixture->serving.get(),
                         std::move(ensemble));
     QualitySummary q = *EvaluateEngine(engine, *fixture, workload);
     std::printf("  %-26s %7.3f %7.3f %7.3f\n", "learned weights",
@@ -102,7 +102,7 @@ int Run() {
   {
     MatcherEnsemble ensemble = MatcherEnsemble::Default();
     ensemble.SetLogisticModel(final_model);
-    SearchEngine engine(fixture->repository.get(), &fixture->index(),
+    SearchEngine engine(fixture->serving.get(),
                         std::move(ensemble));
     QualitySummary q = *EvaluateEngine(engine, *fixture, workload);
     std::printf("  %-26s %7.3f %7.3f %7.3f\n", "logistic combiner",

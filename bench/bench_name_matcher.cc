@@ -13,6 +13,7 @@
 
 #include "bench_common.h"
 #include "match/context_matcher.h"
+#include "match/features.h"
 #include "match/name_matcher.h"
 
 namespace schemr {
@@ -51,9 +52,9 @@ int Run() {
     return 1;
   }
 
-  SearchEngine with_name(fixture->repository.get(), &fixture->index(),
+  SearchEngine with_name(fixture->serving.get(),
                          MatcherEnsemble::PaperMinimal());
-  SearchEngine without_name(fixture->repository.get(), &fixture->index(),
+  SearchEngine without_name(fixture->serving.get(),
                             WithoutNameMatcher());
 
   std::printf("\n=== E3 name matcher vs name variation (corpus=%zu) ===\n",
@@ -80,10 +81,19 @@ int Run() {
   // Micro-level: pairwise similarity of canonical names vs their hard
   // variants, name matcher in its banded and exhaustive (paper) modes.
   std::printf("\n  pairwise name similarities (banded / exhaustive):\n");
-  NameMatcher banded;
-  NameMatcherOptions exhaustive_options;
-  exhaustive_options.exhaustive_ngrams = true;
-  NameMatcher exhaustive(exhaustive_options);
+  FeatureBuildOptions exhaustive;
+  exhaustive.exhaustive_ngrams = true;
+  const NameMatcher matcher;
+  // Each name becomes a one-entity schema scored on the one matcher path.
+  auto similarity = [&matcher](const char* a, const char* b,
+                               const FeatureBuildOptions& build) {
+    Schema sa;
+    sa.AddEntity(a);
+    Schema sb;
+    sb.AddEntity(b);
+    return matcher.Match(sa, sb, PairFeatures(sa, sb, build).context())
+        .at(0, 0);
+  };
   const std::pair<const char*, const char*> pairs[] = {
       {"patient", "pat"},          {"date_of_birth", "dob"},
       {"date_of_birth", "dateOfBirth"}, {"diagnosis", "diagnoses"},
@@ -93,7 +103,8 @@ int Run() {
   };
   for (const auto& [a, b] : pairs) {
     std::printf("    %-16s vs %-16s  %.3f / %.3f\n", a, b,
-                banded.NameSimilarity(a, b), exhaustive.NameSimilarity(a, b));
+                similarity(a, b, FeatureBuildOptions{}),
+                similarity(a, b, exhaustive));
   }
   std::printf("\n");
   return 0;

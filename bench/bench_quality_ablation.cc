@@ -61,7 +61,7 @@ int Run() {
     workload_options.keyword_noise.truncation_prob = spec.abbrev_prob / 2;
     auto workload = GenerateQueryWorkload(workload_options);
 
-    SearchEngine engine(fixture->repository.get(), &fixture->index());
+    SearchEngine engine(fixture->serving.get());
 
     std::printf("\n=== E9 quality ablation: %s (corpus=%zu schemas) ===\n",
                 spec.label, fixture->corpus.size());

@@ -7,9 +7,9 @@
 //   2. the screen itself — EstimatedSimilarity per candidate, which must
 //      be orders of magnitude under a matcher invocation for the
 //      pre-filter to be worth anything;
-//   3. the prepared (columnar) ensemble vs the legacy per-candidate
-//      ensemble — the phase-2 kernel this PR rewrites;
-//   4. packed-profile Dice vs hash-map Dice — the innermost loop.
+//   3. the columnar ensemble per candidate — the phase-2 kernel;
+//   4. packed-profile Dice vs text-level (hash-map) Dice — the innermost
+//      loop.
 
 #include <benchmark/benchmark.h>
 
@@ -90,20 +90,6 @@ BENCHMARK(BM_SignatureScreen)->Unit(benchmark::kNanosecond);
 
 // --- 3. the phase-2 kernel --------------------------------------------------------
 
-void BM_EnsembleLegacy(benchmark::State& state) {
-  const FeatureSet& set = SharedFeatures(1000);
-  MatcherEnsemble ensemble = MatcherEnsemble::Default();
-  const Schema& query = *set.schemas[0];
-  size_t i = 1;
-  for (auto _ : state) {
-    const size_t c = 1 + (i % (set.schemas.size() - 1));
-    ++i;
-    benchmark::DoNotOptimize(ensemble.Match(query, *set.schemas[c]));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EnsembleLegacy)->Unit(benchmark::kMicrosecond);
-
 void BM_EnsemblePrepared(benchmark::State& state) {
   const FeatureSet& set = SharedFeatures(1000);
   MatcherEnsemble ensemble = MatcherEnsemble::Default();
@@ -113,10 +99,8 @@ void BM_EnsemblePrepared(benchmark::State& state) {
   for (auto _ : state) {
     const size_t c = 1 + (i % (set.schemas.size() - 1));
     ++i;
-    MatchContext context{set.features[0].get(), set.features[c].get(),
-                         &scratch};
-    benchmark::DoNotOptimize(
-        ensemble.Match(query, *set.schemas[c], nullptr, nullptr, &context));
+    const MatchContext context{*set.features[0], *set.features[c], scratch};
+    benchmark::DoNotOptimize(ensemble.Match(query, *set.schemas[c], context));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

@@ -12,6 +12,7 @@
 #include "core/tightness_of_fit.h"
 #include "match/context_matcher.h"
 #include "match/ensemble.h"
+#include "match/features.h"
 #include "match/name_matcher.h"
 #include "match/structure_matcher.h"
 #include "match/type_matcher.h"
@@ -107,11 +108,19 @@ void BM_EnsembleMatchPerCandidate(benchmark::State& state) {
                      .Attribute("gender")
                      .Attribute("diagnosis")
                      .Build();
+  // The production path: candidate features from the catalog, query
+  // features built once.
+  const auto snapshot = fixture.serving->Snapshot();
+  const MatchFeatureCatalog& catalog = *snapshot->match_features;
+  const auto query_features = BuildSchemaFeatures(query, catalog.options());
+  MatchScratch scratch;
   size_t i = 0;
   for (auto _ : state) {
-    const Schema& candidate =
-        fixture.corpus[i++ % fixture.corpus.size()].schema;
-    SimilarityMatrix m = ensemble.MatchCombined(query, candidate);
+    const size_t k = i++ % fixture.corpus.size();
+    const MatchContext context{*query_features, *catalog.Find(fixture.ids[k]),
+                               scratch};
+    SimilarityMatrix m =
+        ensemble.Match(query, fixture.corpus[k].schema, context).combined;
     benchmark::DoNotOptimize(m.Mean());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -129,11 +138,18 @@ void MatcherThroughput(benchmark::State& state) {
                      .Attribute("gender")
                      .Attribute("diagnosis")
                      .Build();
+  const auto snapshot = fixture.serving->Snapshot();
+  const MatchFeatureCatalog& catalog = *snapshot->match_features;
+  const auto query_features = BuildSchemaFeatures(query, catalog.options());
+  MatchScratch scratch;
   size_t i = 0;
   for (auto _ : state) {
-    const Schema& candidate =
-        fixture.corpus[i++ % fixture.corpus.size()].schema;
-    SimilarityMatrix m = matcher.Match(query, candidate);
+    const size_t k = i++ % fixture.corpus.size();
+    const SchemaFeatures& features = *catalog.Find(fixture.ids[k]);
+    scratch.Reset(query_features->terms.size(), features.terms.size());
+    SimilarityMatrix m =
+        matcher.Match(query, fixture.corpus[k].schema,
+                      MatchContext{*query_features, features, scratch});
     benchmark::DoNotOptimize(m.Mean());
   }
 }
@@ -189,18 +205,17 @@ void RunScatteredDistractorExperiment() {
       if (scattered.NumAttributes() < 4) continue;
       // Distractors are NOT in the relevance set: they are wrong answers
       // that share vocabulary.
-      if (!fixture->repository->Insert(std::move(scattered)).ok()) continue;
+      if (!fixture->serving->Ingest(std::move(scattered)).ok()) continue;
       ++distractors;
     }
   }
-  if (!fixture->indexer->Refresh(*fixture->repository).ok()) return;
 
   QueryWorkloadOptions workload_options;
   workload_options.num_queries = 44;
   workload_options.seed = 19;
   auto workload = GenerateQueryWorkload(workload_options);
 
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
   SearchEngineOptions no_tof;
   no_tof.enable_tightness = false;
   SearchEngineOptions with_tof;

@@ -13,8 +13,8 @@
 #include <cstdlib>
 
 #include "core/search_engine.h"
+#include "core/serving_corpus.h"
 #include "corpus/web_tables.h"
-#include "index/indexer.h"
 #include "repo/schema_repository.h"
 #include "util/timer.h"
 
@@ -49,19 +49,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  schemr::Indexer indexer;
-  auto index_stats = indexer.RebuildFromRepository(*repo);
-  if (!index_stats.ok()) {
+  timer.Reset();
+  auto corpus = schemr::ServingCorpus::Create(std::move(repo));
+  if (!corpus.ok()) {
     std::fprintf(stderr, "indexing failed: %s\n",
-                 index_stats.status().ToString().c_str());
+                 corpus.status().ToString().c_str());
     return 1;
   }
+  const auto snapshot = (*corpus)->Snapshot();
   std::printf("indexed %zu schemas in %.1f ms (%zu distinct terms)\n\n",
-              index_stats->schemas_indexed,
-              index_stats->elapsed_seconds * 1e3,
-              indexer.index().NumTerms());
+              snapshot->index->NumDocs(), timer.ElapsedMillis(),
+              snapshot->index->NumTerms());
 
-  schemr::SearchEngine engine(repo.get(), &indexer.index());
+  schemr::SearchEngine engine(corpus->get());
   const char* queries[] = {
       "patient gender diagnosis",
       "species site observation count",

@@ -17,6 +17,7 @@
 #include "core/composer.h"
 #include "core/query_parser.h"
 #include "eval/harness.h"
+#include "match/features.h"
 #include "match/mapping.h"
 #include "parse/ddl_writer.h"
 
@@ -42,7 +43,7 @@ int main() {
   if (!query.ok()) return 1;
   std::printf("draft schema:\n%s\n", draft_ddl);
 
-  schemr::SearchEngine engine(fixture->repository.get(), &fixture->index());
+  schemr::SearchEngine engine(fixture->serving.get());
   auto results = engine.Search(*query);
   if (!results.ok() || results->empty()) {
     std::fprintf(stderr, "search failed or empty\n");
@@ -52,13 +53,16 @@ int main() {
   std::printf("best existing model: '%s' (score %.3f, %zu matches)\n\n",
               top.name.c_str(), top.score, top.num_matches);
 
-  auto top_schema = fixture->repository->Get(top.schema_id);
+  auto top_schema = fixture->repository()->Get(top.schema_id);
   if (!top_schema.ok()) return 1;
 
   // (a) Capture the implicit semantic mapping.
   schemr::MatcherEnsemble ensemble = schemr::MatcherEnsemble::Default();
   schemr::SimilarityMatrix combined =
-      ensemble.MatchCombined(query->AsSchema(), *top_schema);
+      ensemble
+          .Match(query->AsSchema(), *top_schema,
+                 schemr::PairFeatures(query->AsSchema(), *top_schema).context())
+          .combined;
   schemr::MappingOptions mapping_options;
   mapping_options.min_score = 0.4;
   auto mapping = schemr::ExtractMapping(combined, mapping_options);
@@ -92,9 +96,9 @@ int main() {
 
   // (c) Record reuse: usage + a rating; community signal boosts the
   // schema in subsequent searches.
-  (void)fixture->repository->RecordUsage(top.schema_id);
-  (void)fixture->repository->AddRating(top.schema_id, {"designer", 5});
-  (void)fixture->repository->AddComment(
+  (void)fixture->repository()->RecordUsage(top.schema_id);
+  (void)fixture->repository()->AddRating(top.schema_id, {"designer", 5});
+  (void)fixture->repository()->AddComment(
       top.schema_id,
       {"designer", "reused as the basis for our new patient table", 1});
 

@@ -34,11 +34,11 @@ int main(int argc, char** argv) {
                  fixture.status().ToString().c_str());
     return 1;
   }
+  const auto snapshot = fixture->serving->Snapshot();
   std::printf("corpus: %zu schemas indexed (%zu terms)\n",
-              fixture->index().NumDocs(), fixture->index().NumTerms());
+              snapshot->index->NumDocs(), snapshot->index->NumTerms());
 
-  schemr::SchemrService service(fixture->repository.get(),
-                                &fixture->index());
+  schemr::SchemrService service(fixture->serving.get());
 
   // The query of the paper: keywords + a partially designed schema (the
   // query graph of Fig. 1 -- a fragment tree plus keyword one-node trees).

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <string>
 
-#include "index/indexer.h"
+#include "core/serving_corpus.h"
 #include "parse/ddl_parser.h"
 #include "repo/schema_repository.h"
 #include "service/schemr_service.h"
@@ -86,44 +86,49 @@ bool Check(const schemr::Status& status, const char* what) {
 int main(int argc, char** argv) {
   std::string repo_dir = argc > 1 ? argv[1] : "./quickstart_repo";
 
-  // 1. Open (or create) the schema repository.
-  auto repo_result = schemr::SchemaRepository::Open(repo_dir);
-  if (!Check(repo_result.status(), "opening repository")) return 1;
-  auto& repo = *repo_result.value();
+  {
+    // 1. Open (or create) the schema repository.
+    auto repo_result = schemr::SchemaRepository::Open(repo_dir);
+    if (!Check(repo_result.status(), "opening repository")) return 1;
+    auto& repo = *repo_result.value();
 
-  // 2. Import a few DDL schemas (idempotent-ish: skip if non-empty).
-  if (repo.Size() == 0) {
-    struct Import {
-      const char* name;
-      const char* ddl;
-      const char* description;
-    };
-    const Import imports[] = {
-        {"rural_clinic", kClinicDdl, "patient visit tracking for a clinic"},
-        {"web_shop", kShopDdl, "customers and orders of a small shop"},
-        {"wildlife_survey", kSurveyDdl, "species observations at field sites"},
-    };
-    for (const Import& import : imports) {
-      auto parsed = schemr::ParseDdl(import.ddl, import.name);
-      if (!Check(parsed.status(), "parsing DDL")) return 1;
-      parsed.value().set_description(import.description);
-      auto inserted = repo.Insert(std::move(parsed).value());
-      if (!Check(inserted.status(), "inserting schema")) return 1;
-      std::printf("imported '%s' as schema %llu\n", import.name,
-                  static_cast<unsigned long long>(*inserted));
+    // 2. Import a few DDL schemas (idempotent-ish: skip if non-empty).
+    if (repo.Size() == 0) {
+      struct Import {
+        const char* name;
+        const char* ddl;
+        const char* description;
+      };
+      const Import imports[] = {
+          {"rural_clinic", kClinicDdl, "patient visit tracking for a clinic"},
+          {"web_shop", kShopDdl, "customers and orders of a small shop"},
+          {"wildlife_survey", kSurveyDdl,
+           "species observations at field sites"},
+      };
+      for (const Import& import : imports) {
+        auto parsed = schemr::ParseDdl(import.ddl, import.name);
+        if (!Check(parsed.status(), "parsing DDL")) return 1;
+        parsed.value().set_description(import.description);
+        auto inserted = repo.Insert(std::move(parsed).value());
+        if (!Check(inserted.status(), "inserting schema")) return 1;
+        std::printf("imported '%s' as schema %llu\n", import.name,
+                    static_cast<unsigned long long>(*inserted));
+      }
     }
-  }
+  }  // the repository closes before the corpus reopens it
 
-  // 3. Offline text indexer (Fig. 5): flatten the repository into the
-  //    document index.
-  schemr::Indexer indexer;
-  auto stats = indexer.RebuildFromRepository(repo);
-  if (!Check(stats.status(), "indexing")) return 1;
-  std::printf("indexed %zu schemas in %.1f ms\n", stats->schemas_indexed,
-              stats->elapsed_seconds * 1e3);
+  // 3. Open the repository for serving: the offline text indexer (Fig. 5)
+  //    flattens it into the document index (or reloads the saved segment),
+  //    and the match-feature catalog is built beside it.
+  auto corpus = schemr::ServingCorpus::Open(repo_dir);
+  if (!Check(corpus.status(), "opening corpus")) return 1;
+  const schemr::IndexOpenStats opened = (*corpus)->index_open_stats();
+  std::printf("%s index of %zu schemas in %.1f ms\n",
+              opened.rebuilt ? "built" : "loaded",
+              (*corpus)->Snapshot()->index->NumDocs(), opened.seconds * 1e3);
 
   // 4. Search: keywords as the paper's running example.
-  schemr::SchemrService service(&repo, &indexer.index());
+  schemr::SchemrService service(corpus->get());
   schemr::SearchRequest request;
   request.keywords = "patient height gender diagnosis";
   auto results = service.Search(request);

@@ -14,6 +14,7 @@
 
 #include "core/query_parser.h"
 #include "eval/harness.h"
+#include "match/features.h"
 #include "parse/xsd_importer.h"
 #include "viz/dot_writer.h"
 #include "viz/layout.h"
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
   }
   std::printf("query graph: %s\n", query->ToString().c_str());
 
-  schemr::SearchEngine engine(fixture->repository.get(), &fixture->index());
+  schemr::SearchEngine engine(fixture->serving.get());
   auto results = engine.Search(*query);
   if (!results.ok() || results->empty()) {
     std::fprintf(stderr, "search failed or empty\n");
@@ -82,11 +83,12 @@ int main(int argc, char** argv) {
 
   // Inspect the ensemble on the best hit.
   const schemr::SearchResult& top = results->front();
-  auto top_schema = fixture->repository->Get(top.schema_id);
+  auto top_schema = fixture->repository()->Get(top.schema_id);
   if (!top_schema.ok()) return 1;
   schemr::MatcherEnsemble ensemble = schemr::MatcherEnsemble::Default();
-  schemr::EnsembleResult ensemble_result =
-      ensemble.Match(query->AsSchema(), *top_schema);
+  schemr::EnsembleResult ensemble_result = ensemble.Match(
+      query->AsSchema(), *top_schema,
+      schemr::PairFeatures(query->AsSchema(), *top_schema).context());
   std::printf("\nper-matcher mean similarity vs '%s':\n",
               top_schema->name().c_str());
   for (size_t m = 0; m < ensemble_result.matcher_names.size(); ++m) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "match/ensemble.h"
+#include "match/features.h"
 #include "schema/entity_graph.h"
 #include "util/string_util.h"
 
@@ -58,7 +59,11 @@ std::vector<ExtensionSuggestion> SuggestExtensionsForResult(
     const Schema& draft, const Schema& result_schema,
     const MatcherEnsemble& ensemble, ElementId best_anchor,
     const ComposerOptions& options) {
-  SimilarityMatrix combined = ensemble.MatchCombined(draft, result_schema);
+  SimilarityMatrix combined =
+      ensemble
+          .Match(draft, result_schema,
+                 PairFeatures(draft, result_schema).context())
+          .combined;
   return SuggestExtensions(result_schema, combined, best_anchor, options);
 }
 

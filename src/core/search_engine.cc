@@ -145,6 +145,12 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     metrics.search_errors->Increment();
     return Status::InvalidArgument("empty query graph");
   }
+  if (options.annotation_boost > 0.0 && corpus_ == nullptr) {
+    metrics.search_errors->Increment();
+    return Status::InvalidArgument(
+        "annotation boost needs a live corpus; a pinned snapshot carries "
+        "no annotations");
+  }
 
   Timer total_timer;
   SearchTrace* trace = options.trace;
@@ -154,24 +160,20 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
   // every phase against it. Ingest commits that land mid-search publish
   // new snapshots and never touch this one. A pinned engine (replay) uses
   // the same snapshot for every search.
-  std::shared_ptr<const CorpusSnapshot> snapshot = pinned_;
-  const InvertedIndex* index = index_;
-  if (snapshot == nullptr && corpus_ != nullptr) snapshot = corpus_->Snapshot();
-  if (snapshot != nullptr) {
-    index = snapshot->index.get();
-    if (trace != nullptr) {
-      trace->Annotate(root_span.id(), "corpus_version", snapshot->version);
-    }
+  const std::shared_ptr<const CorpusSnapshot> snapshot =
+      pinned_ != nullptr ? pinned_ : corpus_->Snapshot();
+  if (trace != nullptr) {
+    trace->Annotate(root_span.id(), "corpus_version", snapshot->version);
   }
 
   // Result cache: a search is pure in (query, snapshot, options), so a
   // hit returns the stored ranked list with zero pipeline work. Requires
-  // a snapshot (the version keys invalidation), no live annotation reads,
-  // and no explain trace (explain exists to show the pipeline running).
-  const bool cache_eligible =
-      result_cache_ != nullptr && !options.cache_bypass &&
-      snapshot != nullptr && options.annotation_boost == 0.0 &&
-      trace == nullptr;
+  // no live annotation reads and no explain trace (explain exists to show
+  // the pipeline running).
+  const bool cache_eligible = result_cache_ != nullptr &&
+                              !options.cache_bypass &&
+                              options.annotation_boost == 0.0 &&
+                              trace == nullptr;
   ResultCacheKey cache_key;
   if (cache_eligible) {
     cache_key.fingerprint = FingerprintQuery(query);
@@ -192,7 +194,7 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
   // Phase 1: candidate extraction.
   Timer phase_timer;
   TraceSpan phase1_span(trace, "phase1_extract");
-  CandidateExtractor extractor(index);
+  CandidateExtractor extractor(snapshot->index.get());
   std::vector<Candidate> candidates =
       extractor.Extract(query, options.extraction);
   phase1_span.Annotate("pool_requested",
@@ -222,35 +224,46 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
 
   // --- Columnar feature prep (DESIGN.md §16) -----------------------------
   //
-  // When the snapshot carries a match-feature catalog, the query's own
-  // features are built ONCE here (the legacy path re-derived them per
-  // candidate) and each candidate's precomputed features ride into the
-  // ensemble. Signatures additionally (a) order the candidate visit so
-  // high-similarity candidates raise the pruning floor early -- exact,
-  // since the floor only rises -- and (b) when options.prefilter > 0,
-  // reject low-similarity candidates outright (explicitly approximate).
+  // The query's own features are built ONCE here, under the snapshot
+  // catalog's build options, and each candidate's precomputed features
+  // ride into the ensemble. Signatures additionally (a) order the
+  // candidate visit so high-similarity candidates raise the pruning floor
+  // early -- exact, since the floor only rises -- and (b) when
+  // options.prefilter > 0, reject low-similarity candidates outright
+  // (explicitly approximate). The catalog covers every schema of its
+  // snapshot; a candidate without features is a broken snapshot, reported
+  // as Internal rather than scored some other way.
   Timer prep_timer;
-  const MatchFeatureCatalog* catalog =
-      options.enable_matching && snapshot != nullptr
-          ? snapshot->match_features.get()
-          : nullptr;
+  const MatchFeatureCatalog* catalog = snapshot->match_features.get();
   std::shared_ptr<SchemaFeatures> query_features;
+  std::vector<const SchemaFeatures*> candidate_features;
   std::vector<double> signature_similarity;
-  if (catalog != nullptr) {
+  if (options.enable_matching) {
+    if (catalog == nullptr) {
+      metrics.search_errors->Increment();
+      return Status::Internal("snapshot v" + std::to_string(snapshot->version) +
+                              " has no match-feature catalog");
+    }
     query_features = BuildSchemaFeatures(query_schema, catalog->options());
     ComputeSignature(query_features.get(), &catalog->df());
+    candidate_features.resize(candidates.size());
     signature_similarity.resize(candidates.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
       const SchemaFeatures* f = catalog->Find(candidates[i].schema_id);
-      // A schema missing from the catalog is never screened or demoted.
+      if (f == nullptr) {
+        metrics.search_errors->Increment();
+        return Status::Internal(
+            "schema " + std::to_string(candidates[i].schema_id) +
+            " has no match features in snapshot v" +
+            std::to_string(snapshot->version));
+      }
+      candidate_features[i] = f;
       signature_similarity[i] =
-          f != nullptr
-              ? EstimatedSimilarity(query_features->signature, f->signature)
-              : 1.0;
+          EstimatedSimilarity(query_features->signature, f->signature);
     }
   }
   const bool prefilter_active =
-      catalog != nullptr && options.prefilter > 0.0;
+      options.enable_matching && options.prefilter > 0.0;
   const double prep_seconds = prep_timer.ElapsedSeconds();
 
   // --- Phases 2+3: parallel candidate scoring ----------------------------
@@ -313,9 +326,7 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     }
     // The schema comes from the same snapshot the candidates did, so the
     // id always resolves even if the schema was removed after Snapshot().
-    auto resolved = snapshot != nullptr
-                        ? snapshot->schemas->Get(candidate.schema_id)
-                        : repository_->Get(candidate.schema_id);
+    auto resolved = snapshot->schemas->Get(candidate.schema_id);
     if (!resolved.ok()) {
       std::lock_guard<std::mutex> lock(merge_mutex);
       if (first_error.ok()) first_error = resolved.status();
@@ -379,18 +390,11 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     // bench never races the ensemble's skip reads).
     Timer candidate_timer;
     if (track_matcher_time) seconds_scratch->assign(num_matchers, 0.0);
-    MatchContext match_context;
-    if (catalog != nullptr) {
-      // Null candidate features make the ensemble fall back to the legacy
-      // per-matcher path for this candidate only.
-      match_context.query_features = query_features.get();
-      match_context.candidate_features = catalog->Find(candidate.schema_id);
-      match_context.scratch = match_scratch;
-    }
+    const MatchContext match_context{*query_features, *candidate_features[i],
+                                     *match_scratch};
     EnsembleResult ensemble_result = ensemble_.Match(
-        query_schema, schema,
-        track_matcher_time ? seconds_scratch : nullptr, benched_scratch,
-        catalog != nullptr ? &match_context : nullptr);
+        query_schema, schema, match_context,
+        track_matcher_time ? seconds_scratch : nullptr, benched_scratch);
     SimilarityMatrix combined = std::move(ensemble_result.combined);
     tally->phase2_seconds += candidate_timer.ElapsedSeconds();
     ++tally->candidates_matched;
@@ -425,19 +429,10 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     }
 
     // Phase 3: tightness-of-fit, against the snapshot's shared entity
-    // graph when one exists (static mode builds a transient graph).
+    // graph.
     candidate_timer.Reset();
-    std::shared_ptr<const EntityGraph> shared_graph;
-    std::optional<EntityGraph> local_graph;
-    const EntityGraph* graph;
-    if (snapshot != nullptr) {
-      shared_graph =
-          snapshot->entity_graphs->GetOrBuild(candidate.schema_id, schema);
-      graph = shared_graph.get();
-    } else {
-      local_graph.emplace(schema);
-      graph = &*local_graph;
-    }
+    const std::shared_ptr<const EntityGraph> graph =
+        snapshot->entity_graphs->GetOrBuild(candidate.schema_id, schema);
     TightnessResult tof =
         ComputeTightnessOfFit(schema, *graph, combined, options.tightness);
     tally->phase3_seconds += candidate_timer.ElapsedSeconds();
@@ -594,8 +589,7 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
   // tune ranking rather than define the corpus, and their accessors are
   // internally synchronized.
   if (options.annotation_boost > 0.0) {
-    const SchemaRepository* annotations =
-        corpus_ != nullptr ? corpus_->repository() : repository_;
+    const SchemaRepository* annotations = corpus_->repository();
     for (SearchResult& result : results) {
       auto rating = annotations->GetRatingSummary(result.schema_id);
       auto usage = annotations->GetUsageCount(result.schema_id);

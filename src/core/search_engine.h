@@ -120,6 +120,7 @@ struct SearchEngineOptions {
   /// Collaboration signal (paper Applications): when > 0, each result's
   /// score is multiplied by 1 + boost·(0.7·rating/5 + 0.3·usage_sat)
   /// where usage_sat = hits/(hits+10). Community-endorsed schemas rise.
+  /// Needs corpus mode (annotations are read from the live repository).
   double annotation_boost = 0.0;
   /// When set, Search records a per-phase span breakdown (explain mode)
   /// into this trace: a root "search" span with phase1_extract /
@@ -153,8 +154,7 @@ struct SearchEngineOptions {
   /// matcher runs -- explicitly approximate: a rejected candidate is out
   /// of the ranking even if the full ensemble would have admitted it.
   /// E20 in EXPERIMENTS.md measures the recall floor per threshold.
-  /// Candidates without a signature (no catalog entry) are never
-  /// rejected. Joins the result-cache options hash, so exact and
+  /// Joins the result-cache options hash, so exact and
   /// approximate answers never alias. Independently of this threshold,
   /// signatures order the candidate visit so the pruning floor rises
   /// early -- that reordering is exact (the floor only rises; DESIGN.md
@@ -167,31 +167,16 @@ struct SearchEngineOptions {
   SearchStats* stats = nullptr;
 };
 
-/// Facade tying the repository, the index and the match engine together.
+/// Facade tying a corpus snapshot to the match engine.
 ///
-/// Thread safety depends on which constructor was used:
-///   - Corpus mode (ServingCorpus*): Search acquires one CorpusSnapshot
-///     up front and runs every phase against it, so concurrent Search
-///     calls are safe even while the corpus ingests -- each search sees
-///     a consistent pre- or post-commit corpus, never a mix.
-///   - Static mode (raw repository/index pointers): the engine does NOT
-///     synchronize those references. Concurrent Search calls are safe
-///     only while nothing mutates the repository or index; mutating
-///     either during a search is a data race. Use corpus mode for any
-///     serving path with live ingest.
-/// The ensemble is const during Search (matchers are stateless); do not
-/// call mutable_ensemble() concurrently with searches.
+/// Search acquires one CorpusSnapshot up front (the corpus's current one,
+/// or the pinned one) and runs every phase against it, so concurrent
+/// Search calls are safe even while the corpus ingests -- each search
+/// sees a consistent pre- or post-commit corpus, never a mix. The
+/// ensemble is const during Search (matchers are stateless); do not call
+/// mutable_ensemble() concurrently with searches.
 class SearchEngine {
  public:
-  /// Static mode: caller guarantees `repository` and `index` outlive the
-  /// engine and do not change while searches run.
-  SearchEngine(const SchemaRepository* repository,
-               const InvertedIndex* index,
-               MatcherEnsemble ensemble = MatcherEnsemble::Default())
-      : repository_(repository),
-        index_(index),
-        ensemble_(std::move(ensemble)) {}
-
   /// Corpus mode: snapshot-isolated searches over a live corpus.
   explicit SearchEngine(const ServingCorpus* corpus,
                         MatcherEnsemble ensemble = MatcherEnsemble::Default())
@@ -200,7 +185,9 @@ class SearchEngine {
   /// Pinned-snapshot mode: every Search runs against this one snapshot,
   /// regardless of what the owning corpus publishes afterwards. The
   /// replay engine uses this so a whole recorded workload executes
-  /// against a single corpus version (deterministic digests).
+  /// against a single corpus version (deterministic digests). A snapshot
+  /// carries no annotations, so Search refuses annotation_boost > 0 with
+  /// InvalidArgument.
   explicit SearchEngine(std::shared_ptr<const CorpusSnapshot> snapshot,
                         MatcherEnsemble ensemble = MatcherEnsemble::Default())
       : pinned_(std::move(snapshot)), ensemble_(std::move(ensemble)) {}
@@ -218,10 +205,9 @@ class SearchEngine {
   MatcherEnsemble& mutable_ensemble() { return ensemble_; }
 
   /// Installs a snapshot-keyed LRU over final ranked results (see
-  /// core/result_cache.h for keying and invalidation). Effective only in
-  /// corpus or pinned mode -- the corpus version is what keys implicit
-  /// invalidation; static mode has no version and never caches. Like
-  /// mutable_ensemble, call before searches run concurrently.
+  /// core/result_cache.h for keying and invalidation; the corpus version
+  /// keys implicit invalidation). Like mutable_ensemble, call before
+  /// searches run concurrently.
   void EnableResultCache(size_t capacity = 256);
 
   /// The installed cache, or null. Exposed for stats and tests.
@@ -233,12 +219,9 @@ class SearchEngine {
   /// request asks for more helpers than the current pool holds.
   std::shared_ptr<BoundedExecutor> ScoringPool(size_t helpers) const;
 
-  /// Corpus mode when set; otherwise the static pointers below are used.
+  /// Exactly one of these is set.
   const ServingCorpus* corpus_ = nullptr;
-  /// Pinned-snapshot mode when set (takes precedence over corpus_).
   std::shared_ptr<const CorpusSnapshot> pinned_;
-  const SchemaRepository* repository_ = nullptr;
-  const InvertedIndex* index_ = nullptr;
   MatcherEnsemble ensemble_;
   mutable std::mutex scoring_pool_mutex_;
   mutable std::shared_ptr<BoundedExecutor> scoring_pool_;

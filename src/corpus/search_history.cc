@@ -1,6 +1,7 @@
 #include "corpus/search_history.h"
 
 #include "corpus/vocabulary.h"
+#include "match/features.h"
 #include "schema/schema.h"
 
 namespace schemr {
@@ -58,7 +59,8 @@ std::vector<TrainingRecord> SimulateSearchHistory(
     Schema query = EmbedAttribute(attributes[a], &rng, options.name_noise);
     Schema candidate = EmbedAttribute(attributes[b], &rng, options.name_noise);
 
-    EnsembleResult result = ensemble.Match(query, candidate);
+    EnsembleResult result = ensemble.Match(
+        query, candidate, PairFeatures(query, candidate).context());
     // The attribute is element 1 in both schemas (entity is 0).
     TrainingRecord record;
     record.features.reserve(result.per_matcher.size());

@@ -1,5 +1,5 @@
 // Shared experiment harness: builds a generated corpus into an in-memory
-// repository + index, and evaluates a search engine against a ground-truth
+// serving corpus, and evaluates a search engine against a ground-truth
 // query workload. Used by the quality benchmarks (E3-E9) and integration
 // tests so every experiment measures the same way.
 
@@ -13,25 +13,26 @@
 #include <vector>
 
 #include "core/search_engine.h"
+#include "core/serving_corpus.h"
 #include "corpus/query_workload.h"
 #include "corpus/schema_generator.h"
-#include "index/indexer.h"
 #include "repo/schema_repository.h"
 
 namespace schemr {
 
-/// A ready-to-search corpus: repository, index, and relevance ground
-/// truth. Move-only (owns the repository).
+/// A ready-to-search corpus: the serving corpus (repository, index and
+/// feature catalog, as production serves them) and relevance ground
+/// truth. Move-only.
 struct CorpusFixture {
-  std::unique_ptr<SchemaRepository> repository;
-  std::unique_ptr<Indexer> indexer;
+  std::unique_ptr<ServingCorpus> serving;
   std::vector<GeneratedSchema> corpus;
   std::vector<SchemaId> ids;  ///< parallel to corpus
   std::unordered_map<std::string, std::unordered_set<SchemaId>> relevance;
 
-  const InvertedIndex& index() const { return indexer->index(); }
+  SchemaRepository* repository() const { return serving->repository(); }
 
-  /// Generates, inserts and indexes a corpus (in-memory repository).
+  /// Generates and inserts a corpus into an in-memory repository, then
+  /// serves it (ServingCorpus::Create).
   static Result<CorpusFixture> Build(const CorpusOptions& options);
 };
 

@@ -255,7 +255,8 @@ double CodebookMatcher::EntrySimilarity(const CodebookEntry& a,
 }
 
 SimilarityMatrix CodebookMatcher::Match(const Schema& query,
-                                        const Schema& candidate) const {
+                                        const Schema& candidate,
+                                        const MatchContext&) const {
   const Codebook& codebook = Codebook::Default();
   SimilarityMatrix matrix(query.size(), candidate.size());
   std::vector<CodebookEntry> query_entries(query.size());

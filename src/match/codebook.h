@@ -86,8 +86,8 @@ class CodebookMatcher : public Matcher {
  public:
   std::string Name() const override { return "codebook"; }
 
-  SimilarityMatrix Match(const Schema& query,
-                         const Schema& candidate) const override;
+  SimilarityMatrix Match(const Schema& query, const Schema& candidate,
+                         const MatchContext& context) const override;
 
   /// Pair score used by Match (exposed for tests).
   static double EntrySimilarity(const CodebookEntry& a,

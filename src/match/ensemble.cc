@@ -118,18 +118,12 @@ std::vector<std::string> MatcherEnsemble::MatcherNames() const {
 }
 
 EnsembleResult MatcherEnsemble::Match(
-    const Schema& query, const Schema& candidate,
-    std::vector<double>* matcher_seconds, const std::vector<char>* skip,
-    const MatchContext* context) const {
-  const bool prepared = context != nullptr &&
-                        context->query_features != nullptr &&
-                        context->candidate_features != nullptr &&
-                        context->scratch != nullptr;
-  if (prepared) {
-    // One memo per candidate, shared by every matcher in this invocation.
-    context->scratch->Reset(context->query_features->terms.size(),
-                            context->candidate_features->terms.size());
-  }
+    const Schema& query, const Schema& candidate, const MatchContext& context,
+    std::vector<double>* matcher_seconds,
+    const std::vector<char>* skip) const {
+  // One memo per candidate, shared by every matcher in this invocation.
+  context.scratch.Reset(context.query.terms.size(),
+                        context.candidate.terms.size());
   EnsembleResult result;
   result.matcher_names.reserve(matchers_.size());
   result.per_matcher.reserve(matchers_.size());
@@ -151,8 +145,7 @@ EnsembleResult MatcherEnsemble::Match(
                                  std::string(std::strerror(err)));
       }
       result.per_matcher.push_back(
-          prepared ? matchers_[m]->MatchPrepared(query, candidate, *context)
-                   : matchers_[m]->Match(query, candidate));
+          matchers_[m]->Match(query, candidate, context));
     } catch (const InjectedCrash&) {
       throw;  // a simulated kill must never be absorbed as a matcher fault
     } catch (...) {
@@ -189,12 +182,6 @@ EnsembleResult MatcherEnsemble::Match(
     result.combined = SimilarityMatrix::WeightedCombine(pointers, weights);
   }
   return result;
-}
-
-SimilarityMatrix MatcherEnsemble::MatchCombined(
-    const Schema& query, const Schema& candidate,
-    std::vector<double>* matcher_seconds) const {
-  return Match(query, candidate, matcher_seconds).combined;
 }
 
 }  // namespace schemr

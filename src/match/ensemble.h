@@ -135,19 +135,13 @@ class MatcherEnsemble {
   /// failures or budget overruns. Each matcher also consults the fault
   /// site "match/<name>" so tests can force failures.
   ///
-  /// `context`, when non-null, carries precomputed columnar features and
-  /// the per-candidate term-pair memo; matchers with a fast path use it
-  /// (bit-identical scores), the rest ignore it. The scratch is reset
-  /// here, once per candidate, so name and context share one memo.
+  /// `context` carries both schemas' features and the term-pair memo,
+  /// which is reset here, once per candidate, so name and context share
+  /// one memo.
   EnsembleResult Match(const Schema& query, const Schema& candidate,
+                       const MatchContext& context,
                        std::vector<double>* matcher_seconds = nullptr,
-                       const std::vector<char>* skip = nullptr,
-                       const MatchContext* context = nullptr) const;
-
-  /// Runs all matchers and returns only the combined matrix.
-  SimilarityMatrix MatchCombined(
-      const Schema& query, const Schema& candidate,
-      std::vector<double>* matcher_seconds = nullptr) const;
+                       const std::vector<char>* skip = nullptr) const;
 
  private:
   std::vector<std::unique_ptr<Matcher>> matchers_;

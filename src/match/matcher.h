@@ -20,14 +20,15 @@ namespace schemr {
 struct SchemaFeatures;  // match/features.h
 struct MatchScratch;    // match/features.h
 
-/// Precomputed inputs for one ensemble invocation: the columnar features
-/// of both schemas (built at index time / once per query) and the shared
-/// per-candidate term-pair memo. Any pointer may be null — a matcher that
-/// cannot use what it is given falls back to its Match() path.
+/// What one ensemble invocation scores from: the columnar features of
+/// both schemas (built at index time, and once per query) and the
+/// term-pair memo, reset for this pair (MatcherEnsemble::Match and
+/// PairFeatures do that). All three are required, so a matcher always
+/// scores the features it is handed and never re-derives them.
 struct MatchContext {
-  const SchemaFeatures* query_features = nullptr;
-  const SchemaFeatures* candidate_features = nullptr;
-  MatchScratch* scratch = nullptr;
+  const SchemaFeatures& query;
+  const SchemaFeatures& candidate;
+  MatchScratch& scratch;
 };
 
 /// Abstract element-level schema matcher.
@@ -39,19 +40,10 @@ class Matcher {
   virtual std::string Name() const = 0;
 
   /// Computes the |query| × |candidate| similarity matrix. All values must
-  /// land in [0, 1] (SimilarityMatrix::set clamps as a backstop).
-  virtual SimilarityMatrix Match(const Schema& query,
-                                 const Schema& candidate) const = 0;
-
-  /// Match() with precomputed features. The default ignores the context;
-  /// matchers with a columnar fast path (name, context) override this and
-  /// MUST produce a bit-identical matrix to Match() — the fast path is a
-  /// latency optimization, never a scoring change (DESIGN.md §16).
-  virtual SimilarityMatrix MatchPrepared(const Schema& query,
-                                         const Schema& candidate,
-                                         const MatchContext&) const {
-    return Match(query, candidate);
-  }
+  /// land in [0, 1] (SimilarityMatrix::set clamps as a backstop). Matchers
+  /// that need no precomputed features ignore `context`.
+  virtual SimilarityMatrix Match(const Schema& query, const Schema& candidate,
+                                 const MatchContext& context) const = 0;
 };
 
 }  // namespace schemr

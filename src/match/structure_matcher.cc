@@ -7,7 +7,8 @@
 namespace schemr {
 
 SimilarityMatrix StructureMatcher::Match(const Schema& query,
-                                         const Schema& candidate) const {
+                                         const Schema& candidate,
+                                         const MatchContext&) const {
   SimilarityMatrix matrix(query.size(), candidate.size());
   std::vector<size_t> query_depths(query.size());
   std::vector<size_t> cand_depths(candidate.size());

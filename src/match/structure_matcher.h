@@ -31,8 +31,8 @@ class StructureMatcher : public Matcher {
 
   std::string Name() const override { return "structure"; }
 
-  SimilarityMatrix Match(const Schema& query,
-                         const Schema& candidate) const override;
+  SimilarityMatrix Match(const Schema& query, const Schema& candidate,
+                         const MatchContext& context) const override;
 
  private:
   StructureMatcherOptions options_;

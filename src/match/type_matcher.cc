@@ -66,7 +66,8 @@ double DataTypeCompatibility(DataType a, DataType b) {
 }
 
 SimilarityMatrix TypeMatcher::Match(const Schema& query,
-                                    const Schema& candidate) const {
+                                    const Schema& candidate,
+                                    const MatchContext&) const {
   SimilarityMatrix matrix(query.size(), candidate.size());
   for (size_t r = 0; r < query.size(); ++r) {
     const Element& q = query.element(static_cast<ElementId>(r));

@@ -26,8 +26,8 @@ class TypeMatcher : public Matcher {
  public:
   std::string Name() const override { return "type"; }
 
-  SimilarityMatrix Match(const Schema& query,
-                         const Schema& candidate) const override;
+  SimilarityMatrix Match(const Schema& query, const Schema& candidate,
+                         const MatchContext& context) const override;
 };
 
 }  // namespace schemr

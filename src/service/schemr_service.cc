@@ -416,12 +416,10 @@ Result<SchemaGraphView> SchemrService::BuildView(
   // Validation first: malformed requests are refused before any
   // repository access or layout work.
   SCHEMR_RETURN_IF_ERROR(ValidateRequest(request));
-  // Corpus mode resolves the schema through the current snapshot so the
-  // drill-in is point-in-time consistent, like Search.
+  // Resolve the schema through the current snapshot so the drill-in is
+  // point-in-time consistent, like Search.
   SCHEMR_ASSIGN_OR_RETURN(
-      Schema schema, corpus_ != nullptr
-                         ? corpus_->Snapshot()->schemas->Get(request.schema_id)
-                         : repository_->Get(request.schema_id));
+      Schema schema, corpus_->Snapshot()->schemas->Get(request.schema_id));
   GraphViewOptions options;
   options.max_depth = request.max_depth;
   options.root = request.root;
@@ -469,11 +467,6 @@ Result<std::string> SchemrService::GetSchemaSvg(
 }
 
 Status SchemrService::StartServing(ServingOptions options) {
-  if (corpus_ == nullptr) {
-    return Status::InvalidArgument(
-        "StartServing requires corpus mode: snapshot isolation is what "
-        "makes concurrent serving safe");
-  }
   std::lock_guard<std::mutex> lock(serving_mutex_);
   if (shut_down_) {
     return Status::Unavailable("service was shut down; build a new one");
@@ -1060,36 +1053,22 @@ std::string SchemrService::StatuszJson() const {
 #endif
   out.push_back('}');
 
+  const std::shared_ptr<const CorpusSnapshot> snapshot = corpus_->Snapshot();
   JsonKey(&out, "corpus");
   out.push_back('{');
-  if (corpus_ != nullptr) {
-    std::shared_ptr<const CorpusSnapshot> snapshot = corpus_->Snapshot();
-    JsonNum(&out, "snapshot_version",
-            static_cast<double>(snapshot->version));
-    JsonNum(&out, "index_docs",
-            static_cast<double>(snapshot->index->NumDocs()));
-    JsonNum(&out, "index_terms",
-            static_cast<double>(snapshot->index->NumTerms()));
-  } else {
-    JsonNum(&out, "snapshot_version", 0.0);
-    JsonNum(&out, "index_docs", 0.0);
-    JsonNum(&out, "index_terms", 0.0);
-  }
+  JsonNum(&out, "snapshot_version", static_cast<double>(snapshot->version));
+  JsonNum(&out, "index_docs",
+          static_cast<double>(snapshot->index->NumDocs()));
+  JsonNum(&out, "index_terms",
+          static_cast<double>(snapshot->index->NumTerms()));
   out.push_back('}');
 
   JsonKey(&out, "signatures");
   out.push_back('{');
   {
     MetricsRegistry& registry = MetricsRegistry::Global();
-    double catalog_schemas = 0.0;
-    if (corpus_ != nullptr) {
-      std::shared_ptr<const CorpusSnapshot> snapshot = corpus_->Snapshot();
-      if (snapshot->match_features != nullptr) {
-        catalog_schemas =
-            static_cast<double>(snapshot->match_features->size());
-      }
-    }
-    JsonNum(&out, "catalog_schemas", catalog_schemas);
+    JsonNum(&out, "catalog_schemas",
+            static_cast<double>(snapshot->match_features->size()));
     JsonNum(&out, "prefilter_rejected_total",
             static_cast<double>(
                 registry.GetCounter("schemr_search_prefilter_rejected_total")

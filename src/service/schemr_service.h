@@ -152,49 +152,20 @@ struct VisualizationRequest {
 
 class SchemrService {
  public:
-  /// Static mode: serves a fixed repository/index pair. Safe for
-  /// concurrent requests only while neither is mutated (see
-  /// SearchEngine's thread-safety contract).
-  SchemrService(const SchemaRepository* repository,
-                const InvertedIndex* index,
-                MatcherEnsemble ensemble = MatcherEnsemble::Default(),
-                ServiceLimits limits = {})
-      : repository_(repository),
-        engine_(repository, index, std::move(ensemble)),
-        limits_(limits) {}
-
-  /// Corpus mode: every request runs against one CorpusSnapshot, so
-  /// concurrent searches are safe while the corpus ingests. Required for
-  /// StartServing.
+  /// Every request runs against one CorpusSnapshot, so concurrent
+  /// searches are safe while the corpus ingests.
   explicit SchemrService(const ServingCorpus* corpus,
                          MatcherEnsemble ensemble = MatcherEnsemble::Default(),
                          ServiceLimits limits = {})
-      : corpus_(corpus),
-        repository_(corpus->repository()),
-        engine_(corpus, std::move(ensemble)),
-        limits_(limits) {}
-
-  /// Pinned-snapshot mode: every request runs against exactly this
-  /// snapshot. For CLI tools that assemble a snapshot by hand (index
-  /// segment + repository view + persisted signature catalog) without a
-  /// live corpus. `repository` serves annotation and visualization
-  /// traffic and must outlive the service.
-  SchemrService(const SchemaRepository* repository,
-                std::shared_ptr<const CorpusSnapshot> snapshot,
-                MatcherEnsemble ensemble = MatcherEnsemble::Default(),
-                ServiceLimits limits = {})
-      : repository_(repository),
-        engine_(std::move(snapshot), std::move(ensemble)),
-        limits_(limits) {}
+      : corpus_(corpus), engine_(corpus, std::move(ensemble)), limits_(limits) {}
 
   ~SchemrService();
 
   // --- Concurrent serving (DESIGN.md §9) ---------------------------------
 
   /// Brings up the bounded worker pool and admission control behind
-  /// HandleSearchXml. InvalidArgument in static mode (snapshot isolation
-  /// is what makes concurrent serving safe); FailedPrecondition if
-  /// already serving or already shut down.
+  /// HandleSearchXml. FailedPrecondition if already serving or already
+  /// shut down.
   Status StartServing(ServingOptions options = {});
 
   /// The admission-controlled search endpoint. Always returns well-formed
@@ -388,8 +359,7 @@ class SchemrService {
   void RecordRefusal(const SearchRequest& request, AuditOutcome outcome,
                      double deadline_seconds) const;
 
-  const ServingCorpus* corpus_ = nullptr;  ///< null in static mode
-  const SchemaRepository* repository_;
+  const ServingCorpus* corpus_;
   SearchEngine engine_;
   ServiceLimits limits_;
 

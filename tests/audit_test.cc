@@ -5,6 +5,7 @@
 // served, shed, and failed requests, and the incremental cursor reads
 // behind `schemr audit tail --follow`.
 
+#include "core/serving_corpus.h"
 #include "obs/audit_log.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 
 #include "core/fingerprint.h"
 #include "core/query_parser.h"
-#include "index/indexer.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 #include "service/schemr_service.h"
@@ -472,8 +472,8 @@ TEST(DigestTest, SensitiveToOrderIdsAndRealScoreChanges) {
 class ServiceAuditTest : public AuditLogTest {
  protected:
   void SeedService() {
-    repo_ = SchemaRepository::OpenInMemory();
-    ASSERT_TRUE(repo_
+    auto repo = SchemaRepository::OpenInMemory();
+    ASSERT_TRUE(repo
                     ->Insert(SchemaBuilder("customer_orders")
                                  .Entity("customer")
                                  .Attribute("id")
@@ -483,13 +483,14 @@ class ServiceAuditTest : public AuditLogTest {
                                  .Attribute("customer_id")
                                  .Build())
                     .ok());
-    ASSERT_TRUE(indexer_.RebuildFromRepository(*repo_).ok());
-    service_ = std::make_unique<SchemrService>(repo_.get(), &indexer_.index());
+    auto corpus = ServingCorpus::Create(std::move(repo));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    corpus_ = std::move(corpus).value();
+    service_ = std::make_unique<SchemrService>(corpus_.get());
     ASSERT_TRUE(service_->EnableAudit(dir_.string()).ok());
   }
 
-  std::unique_ptr<SchemaRepository> repo_;
-  Indexer indexer_;
+  std::unique_ptr<ServingCorpus> corpus_;
   std::unique_ptr<SchemrService> service_;
 };
 

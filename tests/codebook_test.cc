@@ -3,9 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "index/indexer.h"
 #include "core/search_engine.h"
+#include "core/serving_corpus.h"
 #include "match/codebook.h"
+#include "match/features.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 
@@ -151,7 +152,8 @@ TEST(CodebookMatcherTest, DisambiguatesDivergentNames) {
                          .Attribute("longitude", DataType::kDouble)
                          .Build();
   CodebookMatcher matcher;
-  SimilarityMatrix m = matcher.Match(query, candidate);
+  SimilarityMatrix m =
+      matcher.Match(query, candidate, PairFeatures(query, candidate).context());
   auto q_lat = *query.FindByName("lat");
   auto c_lat = *candidate.FindByName("latitude");
   auto c_lon = *candidate.FindByName("longitude");
@@ -169,9 +171,9 @@ TEST(SearchEnginePagingTest, OffsetWalksTheRanking) {
                             .Attribute("height")
                             .Build());
   }
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SearchEngine engine(repo.get(), &indexer.index());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SearchEngine engine(corpus->get());
 
   SearchEngineOptions all;
   all.top_k = 6;

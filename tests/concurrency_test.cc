@@ -301,16 +301,6 @@ TEST_F(ConcurrencyTest, AdmissionEwmaTracksServiceTime) {
 
 // --- the serving service -----------------------------------------------------
 
-TEST_F(ConcurrencyTest, ServiceRequiresCorpusModeForServing) {
-  auto repo = SchemaRepository::OpenInMemory();
-  (void)*repo->Insert(ClinicSchema("static"));
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SchemrService service(repo.get(), &indexer.index());
-  EXPECT_FALSE(service.StartServing().ok());
-  EXPECT_FALSE(service.serving());
-}
-
 TEST_F(ConcurrencyTest, ServiceHandlesInlineWithoutServingSetup) {
   auto corpus = MakeCorpus(2);
   ASSERT_TRUE(corpus.ok()) << corpus.status();

@@ -13,7 +13,7 @@
 #include "core/query_parser.h"
 #include "core/search_engine.h"
 #include "core/tightness_of_fit.h"
-#include "index/indexer.h"
+#include "core/serving_corpus.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 
@@ -289,27 +289,26 @@ TEST(TightnessOfFitTest, ScoreNeverExceedsUnpenalizedMean) {
 // --- candidate extractor + search engine ------------------------------------------------
 
 struct EngineFixture {
-  std::unique_ptr<SchemaRepository> repo;
-  std::unique_ptr<Indexer> indexer;
+  std::unique_ptr<ServingCorpus> corpus;
   SchemaId clinic_id = 0, shop_id = 0, scattered_id = 0;
 };
 
 EngineFixture MakeEngineFixture() {
   EngineFixture f;
-  f.repo = SchemaRepository::OpenInMemory();
-  f.clinic_id = *f.repo->Insert(SchemaBuilder("clinic")
+  std::unique_ptr<SchemaRepository> repo = SchemaRepository::OpenInMemory();
+  f.clinic_id = *repo->Insert(SchemaBuilder("clinic")
                                     .Entity("patient")
                                     .Attribute("height", DataType::kDouble)
                                     .Attribute("gender")
                                     .Attribute("diagnosis")
                                     .Build());
-  f.shop_id = *f.repo->Insert(SchemaBuilder("shop")
+  f.shop_id = *repo->Insert(SchemaBuilder("shop")
                                   .Entity("customer")
                                   .Attribute("name")
                                   .Attribute("email")
                                   .Build());
   // Same terms as clinic but scattered over unrelated entities.
-  f.scattered_id = *f.repo->Insert(SchemaBuilder("scattered")
+  f.scattered_id = *repo->Insert(SchemaBuilder("scattered")
                                        .Entity("a")
                                        .Attribute("height")
                                        .Entity("b")
@@ -319,14 +318,16 @@ EngineFixture MakeEngineFixture() {
                                        .Entity("d")
                                        .Attribute("patient")
                                        .Build());
-  f.indexer = std::make_unique<Indexer>();
-  EXPECT_TRUE(f.indexer->RebuildFromRepository(*f.repo).ok());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  EXPECT_TRUE(corpus.ok()) << corpus.status();
+  f.corpus = std::move(corpus).value();
   return f;
 }
 
 TEST(CandidateExtractorTest, PoolSizeAndScores) {
   EngineFixture f = MakeEngineFixture();
-  CandidateExtractor extractor(&f.indexer->index());
+  const auto snapshot = f.corpus->Snapshot();
+  CandidateExtractor extractor(snapshot->index.get());
   QueryGraph query;
   query.AddKeyword("patient height gender diagnosis");
 
@@ -341,7 +342,7 @@ TEST(CandidateExtractorTest, PoolSizeAndScores) {
 
 TEST(SearchEngineTest, EndToEndRanksTightSchemaFirst) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   auto results = engine.SearchKeywords("patient height gender diagnosis");
   ASSERT_TRUE(results.ok()) << results.status();
   ASSERT_EQ(results->size(), 2u);
@@ -366,7 +367,7 @@ TEST(SearchEngineTest, EndToEndRanksTightSchemaFirst) {
 
 TEST(SearchEngineTest, FragmentQueryFindsStructuralMatch) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   auto query = ParseQuery(
       "", "CREATE TABLE patient (height DOUBLE, gender VARCHAR(8));");
   ASSERT_TRUE(query.ok());
@@ -378,7 +379,7 @@ TEST(SearchEngineTest, FragmentQueryFindsStructuralMatch) {
 
 TEST(SearchEngineTest, AblationsChangeBehavior) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
 
   SearchEngineOptions phase1_only;
   phase1_only.enable_matching = false;
@@ -400,7 +401,7 @@ TEST(SearchEngineTest, AblationsChangeBehavior) {
 
 TEST(SearchEngineTest, TopKBoundsResults) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   SearchEngineOptions options;
   options.top_k = 1;
   auto results = engine.SearchKeywords("patient height gender", options);
@@ -410,17 +411,34 @@ TEST(SearchEngineTest, TopKBoundsResults) {
 
 TEST(SearchEngineTest, EmptyQueryRejected) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   QueryGraph empty;
   EXPECT_FALSE(engine.Search(empty).ok());
 }
 
 TEST(SearchEngineTest, NoHitsYieldsEmptyNotError) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   auto results = engine.SearchKeywords("zzz qqq www");
   ASSERT_TRUE(results.ok());
   EXPECT_TRUE(results->empty());
+}
+
+TEST(SearchEngineTest, AnnotationBoostNeedsALiveCorpus) {
+  // A pinned snapshot carries no annotations: boosting is refused rather
+  // than read through a repository the engine does not have.
+  EngineFixture f = MakeEngineFixture();
+  SearchEngineOptions boosted;
+  boosted.annotation_boost = 0.3;
+  SearchEngine pinned(f.corpus->Snapshot());
+  auto refused = pinned.SearchKeywords("patient height", boosted);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  SearchEngine live(f.corpus.get());
+  auto results = live.SearchKeywords("patient height", boosted);
+  ASSERT_TRUE(results.ok()) << results.status();
+  EXPECT_FALSE(results->empty());
 }
 
 // --- graceful degradation ---------------------------------------------------
@@ -429,7 +447,8 @@ TEST(SearchEngineTest, NoHitsYieldsEmptyNotError) {
 class ThrowingMatcher : public Matcher {
  public:
   std::string Name() const override { return "throwing"; }
-  SimilarityMatrix Match(const Schema&, const Schema&) const override {
+  SimilarityMatrix Match(const Schema&, const Schema&,
+                         const MatchContext&) const override {
     throw std::runtime_error("matcher exploded");
   }
 };
@@ -438,8 +457,8 @@ class ThrowingMatcher : public Matcher {
 class SlowMatcher : public Matcher {
  public:
   std::string Name() const override { return "slow"; }
-  SimilarityMatrix Match(const Schema& query,
-                         const Schema& candidate) const override {
+  SimilarityMatrix Match(const Schema& query, const Schema& candidate,
+                         const MatchContext&) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     return SimilarityMatrix(query.size(), candidate.size());
   }
@@ -449,7 +468,7 @@ TEST(SearchDegradationTest, ThrowingMatcherIsIsolatedNotFatal) {
   EngineFixture f = MakeEngineFixture();
   MatcherEnsemble ensemble = MatcherEnsemble::PaperMinimal();
   ensemble.AddMatcher(std::make_unique<ThrowingMatcher>(), 1.0);
-  SearchEngine engine(f.repo.get(), &f.indexer->index(), std::move(ensemble));
+  SearchEngine engine(f.corpus.get(), std::move(ensemble));
 
   SearchStats stats;
   SearchEngineOptions options;
@@ -468,7 +487,7 @@ TEST(SearchDegradationTest, ThrowingMatcherIsIsolatedNotFatal) {
 
 TEST(SearchDegradationTest, HealthySearchIsNotFlaggedDegraded) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   SearchStats stats;
   SearchEngineOptions options;
   options.stats = &stats;
@@ -484,7 +503,7 @@ TEST(SearchDegradationTest, HealthySearchIsNotFlaggedDegraded) {
 
 TEST(SearchDegradationTest, DeadlineFallsBackToCoarseRanking) {
   EngineFixture f = MakeEngineFixture();
-  SearchEngine engine(f.repo.get(), &f.indexer->index());
+  SearchEngine engine(f.corpus.get());
   SearchStats stats;
   SearchEngineOptions options;
   options.stats = &stats;
@@ -507,7 +526,7 @@ TEST(SearchDegradationTest, MatcherBudgetBenchesSlowMatcher) {
   EngineFixture f = MakeEngineFixture();
   MatcherEnsemble ensemble = MatcherEnsemble::PaperMinimal();
   ensemble.AddMatcher(std::make_unique<SlowMatcher>(), 1.0);
-  SearchEngine engine(f.repo.get(), &f.indexer->index(), std::move(ensemble));
+  SearchEngine engine(f.corpus.get(), std::move(ensemble));
 
   SearchStats stats;
   SearchEngineOptions options;
@@ -530,7 +549,7 @@ TEST(SearchDegradationTest, AllMatchersFailingStillReturnsRankedResults) {
   EngineFixture f = MakeEngineFixture();
   MatcherEnsemble ensemble;
   ensemble.AddMatcher(std::make_unique<ThrowingMatcher>(), 1.0);
-  SearchEngine engine(f.repo.get(), &f.indexer->index(), std::move(ensemble));
+  SearchEngine engine(f.corpus.get(), std::move(ensemble));
 
   SearchStats stats;
   SearchEngineOptions options;

@@ -17,7 +17,7 @@
 #include <string>
 
 #include "core/search_engine.h"
-#include "index/indexer.h"
+#include "core/serving_corpus.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 #include "store/kv_store.h"
@@ -536,9 +536,9 @@ TEST_F(CrashRecoveryTest, SearchSurvivesInjectedMatcherFailure) {
                                .Attribute("name")
                                .Build())
                   .ok());
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SearchEngine engine(repo.get(), &indexer.index());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SearchEngine engine(corpus->get());
 
   FaultInjector& fi = FaultInjector::Global();
   FaultSpec eio;

@@ -8,8 +8,9 @@
 
 #include "core/composer.h"
 #include "core/search_engine.h"
-#include "index/indexer.h"
+#include "core/serving_corpus.h"
 #include "match/ensemble.h"
+#include "match/features.h"
 #include "match/mapping.h"
 #include "parse/xsd_importer.h"
 #include "parse/xsd_writer.h"
@@ -81,7 +82,9 @@ TEST(MappingTest, EndToEndWithEnsembleAndFormat) {
                          .Attribute("unrelated_thing")
                          .Build();
   MatcherEnsemble ensemble = MatcherEnsemble::Default();
-  SimilarityMatrix m = ensemble.MatchCombined(query, candidate);
+  SimilarityMatrix m =
+      ensemble.Match(query, candidate, PairFeatures(query, candidate).context())
+          .combined;
   MappingOptions options;
   options.min_score = 0.3;
   std::vector<ElementCorrespondence> mapping = ExtractMapping(m, options);
@@ -194,9 +197,9 @@ TEST(AnnotationsTest, BoostLiftsEndorsedSchemas) {
   ASSERT_TRUE(repo->AddRating(endorsed, {"bob", 5}).ok());
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(repo->RecordUsage(endorsed).ok());
 
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SearchEngine engine(repo.get(), &indexer.index());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SearchEngine engine(corpus->get());
 
   SearchEngineOptions boosted;
   boosted.annotation_boost = 0.5;

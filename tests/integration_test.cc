@@ -27,22 +27,24 @@ TEST(IntegrationTest, FullArchitectureRoundTripOnDisk) {
   corpus_options.seed = 2011;
   std::vector<GeneratedSchema> corpus = GenerateCorpus(corpus_options);
 
-  fs::path index_path = dir / "segment.idx";
+  const std::string store = (dir / "store").string();
   std::vector<SearchResult> before;
 
   {
-    // Session 1: populate the repository, index it, run a search, persist
-    // the index segment.
-    auto repo = SchemaRepository::Open((dir / "store").string());
-    ASSERT_TRUE(repo.ok()) << repo.status();
-    for (const GeneratedSchema& g : corpus) {
-      ASSERT_TRUE((*repo)->Insert(g.schema).ok());
+    // Session 1: populate the repository, open it (which indexes it and
+    // persists the segment), run a search.
+    {
+      auto repo = SchemaRepository::Open(store);
+      ASSERT_TRUE(repo.ok()) << repo.status();
+      for (const GeneratedSchema& g : corpus) {
+        ASSERT_TRUE((*repo)->Insert(g.schema).ok());
+      }
     }
-    Indexer indexer;
-    ASSERT_TRUE(indexer.RebuildFromRepository(**repo).ok());
-    ASSERT_TRUE(indexer.Save(index_path.string()).ok());
+    auto corpus_or = ServingCorpus::Open(store);
+    ASSERT_TRUE(corpus_or.ok()) << corpus_or.status();
+    EXPECT_TRUE((*corpus_or)->index_open_stats().rebuilt);
 
-    SchemrService service(repo->get(), &indexer.index());
+    SchemrService service(corpus_or->get());
     SearchRequest request;
     request.keywords = "patient height gender diagnosis";
     auto results = service.Search(request);
@@ -53,14 +55,13 @@ TEST(IntegrationTest, FullArchitectureRoundTripOnDisk) {
 
   {
     // Session 2: everything reloaded from disk must behave identically.
-    auto repo = SchemaRepository::Open((dir / "store").string());
-    ASSERT_TRUE(repo.ok());
-    EXPECT_EQ((*repo)->Size(), corpus.size());
-    Indexer indexer;
-    ASSERT_TRUE(indexer.LoadFrom(index_path.string()).ok());
-    EXPECT_EQ(indexer.index().NumDocs(), corpus.size());
+    auto corpus_or = ServingCorpus::Open(store);
+    ASSERT_TRUE(corpus_or.ok()) << corpus_or.status();
+    EXPECT_FALSE((*corpus_or)->index_open_stats().rebuilt);
+    EXPECT_EQ((*corpus_or)->repository()->Size(), corpus.size());
+    EXPECT_EQ((*corpus_or)->Snapshot()->index->NumDocs(), corpus.size());
 
-    SchemrService service(repo->get(), &indexer.index());
+    SchemrService service(corpus_or->get());
     SearchRequest request;
     request.keywords = "patient height gender diagnosis";
     auto results = service.Search(request);
@@ -105,7 +106,7 @@ PipelineQuality MeasurePipelineStages() {
   std::vector<WorkloadQuery> workload =
       GenerateQueryWorkload(workload_options);
 
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
 
   PipelineQuality q;
   SearchEngineOptions coarse;
@@ -146,7 +147,7 @@ TEST(IntegrationTest, MetaLearnedWeightsDoNotHurt) {
       GenerateQueryWorkload(workload_options);
 
   // Uniform ensemble.
-  SearchEngine uniform(fixture->repository.get(), &fixture->index());
+  SearchEngine uniform(fixture->serving.get());
   QualitySummary uniform_quality =
       *EvaluateEngine(uniform, *fixture, workload);
 
@@ -158,7 +159,7 @@ TEST(IntegrationTest, MetaLearnedWeightsDoNotHurt) {
   auto model = TrainLogisticModel(records);
   ASSERT_TRUE(model.ok());
   trained_ensemble.SetWeights(model->NormalizedWeights());
-  SearchEngine trained(fixture->repository.get(), &fixture->index(),
+  SearchEngine trained(fixture->serving.get(),
                        std::move(trained_ensemble));
   QualitySummary trained_quality =
       *EvaluateEngine(trained, *fixture, workload);
@@ -176,7 +177,7 @@ TEST(IntegrationTest, XsdAndDdlFragmentsAgreeOnIntent) {
   corpus_options.seed = 60;
   auto fixture = CorpusFixture::Build(corpus_options);
   ASSERT_TRUE(fixture.ok());
-  SchemrService service(fixture->repository.get(), &fixture->index());
+  SchemrService service(fixture->serving.get());
 
   SearchRequest ddl_request;
   ddl_request.keywords = "";

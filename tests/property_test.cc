@@ -13,6 +13,7 @@
 #include "core/tightness_of_fit.h"
 #include "eval/harness.h"
 #include "match/ensemble.h"
+#include "match/features.h"
 #include "parse/ddl_parser.h"
 #include "parse/ddl_writer.h"
 #include "parse/xml_parser.h"
@@ -45,7 +46,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
 TEST_P(SeededProperty, SelfRetrieval) {
   auto fixture = CorpusFixture::Build(CorpusFor(120));
   ASSERT_TRUE(fixture.ok());
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
   Rng rng(GetParam() ^ 0xABCD);
 
   for (int trial = 0; trial < 8; ++trial) {
@@ -99,7 +100,7 @@ TEST_P(SeededProperty, MatcherMatricesWellFormed) {
   for (int trial = 0; trial < 6; ++trial) {
     const Schema& a = corpus[rng.NextBelow(corpus.size())].schema;
     const Schema& b = corpus[rng.NextBelow(corpus.size())].schema;
-    EnsembleResult result = ensemble.Match(a, b);
+    EnsembleResult result = ensemble.Match(a, b, PairFeatures(a, b).context());
     for (const SimilarityMatrix& m : result.per_matcher) {
       ASSERT_EQ(m.rows(), a.size());
       ASSERT_EQ(m.cols(), b.size());
@@ -272,7 +273,7 @@ TEST_P(SeededProperty, VisualizationInvariants) {
 TEST_P(SeededProperty, SearchIsDeterministic) {
   auto fixture = CorpusFixture::Build(CorpusFor(80));
   ASSERT_TRUE(fixture.ok());
-  SearchEngine engine(fixture->repository.get(), &fixture->index());
+  SearchEngine engine(fixture->serving.get());
   auto query = ParseQuery("patient height gender diagnosis");
   ASSERT_TRUE(query.ok());
   auto first = engine.Search(*query);

@@ -12,7 +12,6 @@
 
 #include "core/fingerprint.h"
 #include "corpus/schema_generator.h"
-#include "index/indexer.h"
 #include "obs/audit_log.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
@@ -82,8 +81,8 @@ TEST(WorkloadXmlTest, SaveAndLoadThroughAFile) {
 class ReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    repo_ = SchemaRepository::OpenInMemory();
-    ASSERT_TRUE(repo_
+    auto repo = SchemaRepository::OpenInMemory();
+    ASSERT_TRUE(repo
                     ->Insert(SchemaBuilder("sales")
                                  .Entity("customer")
                                  .Attribute("id")
@@ -94,7 +93,7 @@ class ReplayTest : public ::testing::Test {
                                  .Attribute("total")
                                  .Build())
                     .ok());
-    ASSERT_TRUE(repo_
+    ASSERT_TRUE(repo
                     ->Insert(SchemaBuilder("billing")
                                  .Entity("invoice")
                                  .Attribute("id")
@@ -104,25 +103,21 @@ class ReplayTest : public ::testing::Test {
                                  .Attribute("invoice_id")
                                  .Build())
                     .ok());
-    ASSERT_TRUE(repo_
+    ASSERT_TRUE(repo
                     ->Insert(SchemaBuilder("crm")
                                  .Entity("customer")
                                  .Attribute("id")
                                  .Attribute("email")
                                  .Build())
                     .ok());
-    ASSERT_TRUE(indexer_.RebuildFromRepository(*repo_).ok());
-    snapshot_ = std::make_shared<CorpusSnapshot>();
-    // Non-owning aliases: repo_/indexer_ outlive the snapshot here.
-    snapshot_->index = std::shared_ptr<const InvertedIndex>(
-        std::shared_ptr<void>(), &indexer_.index());
-    snapshot_->schemas = repo_->View();
-    snapshot_->version = repo_->version();
+    auto corpus = ServingCorpus::Create(std::move(repo));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    corpus_ = std::move(corpus).value();
+    snapshot_ = corpus_->Snapshot();
   }
 
-  std::unique_ptr<SchemaRepository> repo_;
-  Indexer indexer_;
-  std::shared_ptr<CorpusSnapshot> snapshot_;
+  std::unique_ptr<ServingCorpus> corpus_;
+  std::shared_ptr<const CorpusSnapshot> snapshot_;
 };
 
 TEST_F(ReplayTest, TwoRunsProduceIdenticalDigests) {
@@ -216,13 +211,9 @@ TEST_F(ReplayTest, CommittedSampleWorkloadIsThreadCountIndependent) {
   for (GeneratedSchema& generated : GenerateCorpus(corpus_options)) {
     ASSERT_TRUE(repo->Insert(std::move(generated.schema)).ok());
   }
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  auto snapshot = std::make_shared<CorpusSnapshot>();
-  snapshot->index = std::shared_ptr<const InvertedIndex>(
-      std::shared_ptr<void>(), &indexer.index());
-  snapshot->schemas = repo->View();
-  snapshot->version = repo->version();
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  const auto snapshot = (*corpus)->Snapshot();
 
   auto serial = ReplayWorkload(snapshot, *workload);
   ASSERT_TRUE(serial.ok()) << serial.status();
@@ -260,7 +251,7 @@ TEST_F(ReplayTest, LoadsWorkloadFromAnAuditLog) {
 
   // A service with a sub-microsecond slow threshold retains query text on
   // every record, so every request becomes replayable.
-  SchemrService service(repo_.get(), &indexer_.index());
+  SchemrService service(corpus_.get());
   AuditLogOptions slow_everything;
   slow_everything.slow_threshold_seconds = 0.0;
   ASSERT_TRUE(service.EnableAudit(dir.string(), slow_everything).ok());
@@ -288,7 +279,7 @@ TEST_F(ReplayTest, LoadsWorkloadFromAnAuditLog) {
 
   // Fast records without text are skipped, not errors.
   fs::remove_all(dir);
-  SchemrService fast_service(repo_.get(), &indexer_.index());
+  SchemrService fast_service(corpus_.get());
   ASSERT_TRUE(fast_service.EnableAudit(dir.string()).ok());  // 250ms bar
   request.keywords = "customer";
   (void)fast_service.HandleSearchXml(request);

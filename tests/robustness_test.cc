@@ -10,7 +10,7 @@
 #include "core/query_parser.h"
 #include "core/tightness_of_fit.h"
 #include "corpus/web_tables.h"
-#include "index/indexer.h"
+#include "core/serving_corpus.h"
 #include "parse/xml_parser.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
@@ -109,9 +109,9 @@ TEST(SearchConcurrencyTest, ParallelSearchesAgree) {
                             .Attribute("gender")
                             .Build());
   }
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SearchEngine engine(repo.get(), &indexer.index());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SearchEngine engine(corpus->get());
   auto reference = engine.SearchKeywords("patient height");
   ASSERT_TRUE(reference.ok());
 
@@ -161,9 +161,9 @@ TEST(ServiceRobustnessTest, HostileSchemaNamesAreEscapedEverywhere) {
   hostile.set_description("desc with <tags> & \"quotes\"");
   SchemaId id = *repo->Insert(std::move(hostile));
 
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SchemrService service(repo.get(), &indexer.index());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SchemrService service(corpus->get());
 
   SearchRequest request;
   request.keywords = "evil schema entity";
@@ -183,9 +183,9 @@ TEST(ServiceRobustnessTest, HostileSchemaNamesAreEscapedEverywhere) {
 
 TEST(ServiceRobustnessTest, EmptyRepositorySearches) {
   auto repo = SchemaRepository::OpenInMemory();
-  Indexer indexer;
-  ASSERT_TRUE(indexer.RebuildFromRepository(*repo).ok());
-  SchemrService service(repo.get(), &indexer.index());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  SchemrService service(corpus->get());
   SearchRequest request;
   request.keywords = "anything";
   auto results = service.Search(request);

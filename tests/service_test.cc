@@ -6,7 +6,7 @@
 
 #include <cerrno>
 
-#include "index/indexer.h"
+#include "core/serving_corpus.h"
 #include "parse/xml_parser.h"
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
@@ -17,15 +17,14 @@ namespace schemr {
 namespace {
 
 struct ServiceFixture {
-  std::unique_ptr<SchemaRepository> repo;
-  std::unique_ptr<Indexer> indexer;
+  std::unique_ptr<ServingCorpus> corpus;
   std::unique_ptr<SchemrService> service;
   SchemaId clinic_id = 0;
 };
 
 ServiceFixture MakeFixture() {
   ServiceFixture f;
-  f.repo = SchemaRepository::OpenInMemory();
+  auto repo = SchemaRepository::OpenInMemory();
   Schema clinic = SchemaBuilder("clinic")
                       .Description("rural clinic data")
                       .Entity("patient")
@@ -36,15 +35,15 @@ ServiceFixture MakeFixture() {
                       .References("patient")
                       .Attribute("diagnosis")
                       .Build();
-  f.clinic_id = *f.repo->Insert(std::move(clinic));
-  (void)*f.repo->Insert(SchemaBuilder("shop")
-                            .Entity("customer")
-                            .Attribute("email")
-                            .Build());
-  f.indexer = std::make_unique<Indexer>();
-  EXPECT_TRUE(f.indexer->RebuildFromRepository(*f.repo).ok());
-  f.service =
-      std::make_unique<SchemrService>(f.repo.get(), &f.indexer->index());
+  f.clinic_id = *repo->Insert(std::move(clinic));
+  (void)*repo->Insert(SchemaBuilder("shop")
+                          .Entity("customer")
+                          .Attribute("email")
+                          .Build());
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  EXPECT_TRUE(corpus.ok()) << corpus.status();
+  f.corpus = std::move(corpus).value();
+  f.service = std::make_unique<SchemrService>(f.corpus.get());
   return f;
 }
 
@@ -241,7 +240,7 @@ TEST(SchemrServiceTest, VisualizationRejectedBeforeRepositoryAccess) {
 
 TEST(SchemrServiceTest, DrillInRestrictsToSubtree) {
   ServiceFixture f = MakeFixture();
-  Schema clinic = *f.repo->Get(f.clinic_id);
+  Schema clinic = *f.corpus->repository()->Get(f.clinic_id);
   ElementId case_entity = *clinic.FindByName("case", ElementKind::kEntity);
   VisualizationRequest viz;
   viz.schema_id = f.clinic_id;
@@ -312,8 +311,7 @@ TEST(SchemrServiceTest, ValidationEnforcesByteCaps) {
   ServiceLimits limits;
   limits.max_keywords_bytes = 16;
   limits.max_fragment_bytes = 32;
-  SchemrService capped(f.repo.get(), &f.indexer->index(),
-                       MatcherEnsemble::Default(), limits);
+  SchemrService capped(f.corpus.get(), MatcherEnsemble::Default(), limits);
 
   SearchRequest big_keywords;
   big_keywords.keywords = std::string(17, 'k');

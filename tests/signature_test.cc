@@ -1,24 +1,28 @@
 // Tests for the signature pre-filter and columnar match features
-// (DESIGN.md §16): packed-profile bit-identity with the legacy n-gram
-// path, prepared-matcher bit-identity with the per-candidate path, the
-// engine's exact-mode equivalence at any thread count, the approximate
-// pre-filter's accounting, signature persistence (round-trip, corruption
-// detection, rebuild), and the serving corpus's catalog publication.
+// (DESIGN.md §16): packed-profile bit-identity with the text-level n-gram
+// Dice, the approximate pre-filter's accounting, signature persistence
+// (round-trip, corruption detection, rebuild), the serving corpus's
+// catalog publication and ServingCorpus::Open's write-only-when-needed
+// persistence, and the catalog/schema-view invariant under random
+// mutation. The columnar path's scores themselves are pinned by the
+// golden data in tests/golden/ (golden_test).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/fingerprint.h"
 #include "core/result_cache.h"
 #include "core/search_engine.h"
 #include "core/serving_corpus.h"
 #include "corpus/schema_generator.h"
-#include "index/indexer.h"
 #include "match/ensemble.h"
 #include "match/features.h"
 #include "match/signature.h"
@@ -26,6 +30,7 @@
 #include "repo/schema_repository.h"
 #include "schema/schema_builder.h"
 #include "text/ngram.h"
+#include "util/rng.h"
 
 namespace schemr {
 namespace {
@@ -139,113 +144,24 @@ TEST(SignatureTest, SealedCrcDetectsBitFlip) {
   EXPECT_FALSE(VerifySignature(tampered));
 }
 
-// --- prepared matchers ------------------------------------------------------------
-
-TEST(PreparedMatchTest, EnsembleBitIdenticalWithAndWithoutContext) {
-  std::vector<Schema> schemas = SmallCorpus(12);
-  FeatureBuildOptions options;
-  std::vector<std::shared_ptr<SchemaFeatures>> features;
-  DfTable df;
-  for (const Schema& s : schemas) {
-    features.push_back(BuildSchemaFeatures(s, options));
-    df.AddDocument(*features.back());
-  }
-  for (auto& f : features) ComputeSignature(f.get(), &df);
-
-  MatcherEnsemble ensemble = MatcherEnsemble::Default();
-  MatchScratch scratch;
-  const Schema& query = schemas[0];
-  for (size_t c = 1; c < schemas.size(); ++c) {
-    EnsembleResult legacy = ensemble.Match(query, schemas[c]);
-    MatchContext context;
-    context.query_features = features[0].get();
-    context.candidate_features = features[c].get();
-    context.scratch = &scratch;
-    EnsembleResult prepared =
-        ensemble.Match(query, schemas[c], nullptr, nullptr, &context);
-
-    ASSERT_EQ(legacy.per_matcher.size(), prepared.per_matcher.size());
-    for (size_t m = 0; m < legacy.per_matcher.size(); ++m) {
-      const SimilarityMatrix& lm = legacy.per_matcher[m];
-      const SimilarityMatrix& pm = prepared.per_matcher[m];
-      ASSERT_EQ(lm.rows(), pm.rows());
-      ASSERT_EQ(lm.cols(), pm.cols());
-      for (size_t i = 0; i < lm.rows(); ++i) {
-        for (size_t j = 0; j < lm.cols(); ++j) {
-          // Exact FP equality: the fast path must be an optimization,
-          // never a behavior change.
-          EXPECT_EQ(lm.at(i, j), pm.at(i, j))
-              << "matcher " << m << " candidate " << c << " cell (" << i
-              << "," << j << ")";
-        }
-      }
-    }
-    for (size_t i = 0; i < legacy.combined.rows(); ++i) {
-      for (size_t j = 0; j < legacy.combined.cols(); ++j) {
-        EXPECT_EQ(legacy.combined.at(i, j), prepared.combined.at(i, j));
-      }
-    }
-  }
-}
-
-TEST(PreparedMatchTest, MismatchedOptionsFallBackToLegacy) {
-  // A catalog built under non-default matcher options must not be used by
-  // default-option matchers; the guard forces the legacy path, so results
-  // still match the legacy computation exactly.
-  FeatureBuildOptions altered;
-  altered.name.use_synonyms = false;
-  auto qf = BuildSchemaFeatures(Clinic(), altered);
-  auto cf = BuildSchemaFeatures(Shop(), altered);
-  ComputeSignature(qf.get(), nullptr);
-  ComputeSignature(cf.get(), nullptr);
-
-  MatcherEnsemble ensemble = MatcherEnsemble::Default();  // default options
-  MatchScratch scratch;
-  MatchContext context{qf.get(), cf.get(), &scratch};
-  EnsembleResult legacy = ensemble.Match(Clinic(), Shop());
-  EnsembleResult guarded =
-      ensemble.Match(Clinic(), Shop(), nullptr, nullptr, &context);
-  ASSERT_EQ(legacy.per_matcher.size(), guarded.per_matcher.size());
-  for (size_t m = 0; m < legacy.per_matcher.size(); ++m) {
-    for (size_t i = 0; i < legacy.per_matcher[m].rows(); ++i) {
-      for (size_t j = 0; j < legacy.per_matcher[m].cols(); ++j) {
-        EXPECT_EQ(legacy.per_matcher[m].at(i, j),
-                  guarded.per_matcher[m].at(i, j));
-      }
-    }
-  }
-}
-
 // --- engine equivalence -----------------------------------------------------------
 
 struct EngineFixture {
-  std::unique_ptr<SchemaRepository> repo;
-  std::shared_ptr<Indexer> indexer;
-  std::shared_ptr<const CorpusSnapshot> snapshot;  ///< with catalog
+  std::unique_ptr<ServingCorpus> corpus;
+  std::shared_ptr<const CorpusSnapshot> snapshot;
 };
 
 EngineFixture MakeEngineFixture(size_t n = 24) {
   EngineFixture f;
-  f.repo = SchemaRepository::OpenInMemory();
-  CatalogBuilder builder;
+  auto repo = SchemaRepository::OpenInMemory();
   for (Schema& s : SmallCorpus(n)) {
-    auto id = f.repo->Insert(std::move(s));
+    auto id = repo->Insert(std::move(s));
     EXPECT_TRUE(id.ok());
   }
-  f.indexer = std::make_shared<Indexer>();
-  EXPECT_TRUE(f.indexer->RebuildFromRepository(*f.repo).ok());
-  std::shared_ptr<const RepositoryView> view = f.repo->View();
-  EXPECT_TRUE(view->ForEach([&](const Schema& s) {
-                    builder.Add(s);
-                    return Status::OK();
-                  }).ok());
-  auto snapshot = std::make_shared<CorpusSnapshot>();
-  snapshot->version = f.repo->version();
-  snapshot->index =
-      std::shared_ptr<const InvertedIndex>(f.indexer, &f.indexer->index());
-  snapshot->schemas = view;
-  snapshot->match_features = builder.Build();
-  f.snapshot = snapshot;
+  auto corpus = ServingCorpus::Create(std::move(repo));
+  EXPECT_TRUE(corpus.ok()) << corpus.status();
+  f.corpus = std::move(corpus).value();
+  f.snapshot = f.corpus->Snapshot();
   return f;
 }
 
@@ -256,31 +172,6 @@ const char* kQueries[] = {
     "flight departure arrival airport",
     "inventory stock warehouse",
 };
-
-TEST(EnginePrefilterTest, CatalogPathBitIdenticalToLegacyAtAnyThreadCount) {
-  EngineFixture f = MakeEngineFixture();
-  SearchEngine legacy(f.repo.get(), &f.indexer->index());
-  SearchEngine columnar(f.snapshot);
-
-  for (const char* q : kQueries) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SearchEngineOptions options;
-      options.scoring_threads = threads;
-      auto a = legacy.SearchKeywords(q, options);
-      auto b = columnar.SearchKeywords(q, options);
-      ASSERT_TRUE(a.ok()) << a.status();
-      ASSERT_TRUE(b.ok()) << b.status();
-      ASSERT_EQ(a->size(), b->size()) << q << " threads=" << threads;
-      for (size_t i = 0; i < a->size(); ++i) {
-        EXPECT_EQ((*a)[i].schema_id, (*b)[i].schema_id);
-        // Scores must agree to the bit: exact mode may not change the
-        // ranking function, only its cost.
-        EXPECT_EQ((*a)[i].score, (*b)[i].score) << q << " rank " << i;
-        EXPECT_EQ((*a)[i].tightness, (*b)[i].tightness);
-      }
-    }
-  }
-}
 
 TEST(EnginePrefilterTest, PrefilterRejectsAndCounts) {
   EngineFixture f = MakeEngineFixture();
@@ -312,12 +203,12 @@ TEST(EnginePrefilterTest, PrefilterRejectsAndCounts) {
   }
 }
 
-TEST(EnginePrefilterTest, MissingCatalogEntryIsNeverRejected) {
-  // A snapshot whose catalog is missing one schema: that schema must
-  // survive any threshold (unknown ≠ dissimilar).
+TEST(EnginePrefilterTest, MissingCatalogEntryIsAnInternalError) {
+  // A snapshot whose catalog lacks one schema is broken: the engine says
+  // so instead of scoring that candidate some other way.
   EngineFixture f = MakeEngineFixture(8);
   auto snapshot = std::make_shared<CorpusSnapshot>(*f.snapshot);
-  auto& catalog = snapshot->match_features;
+  const auto& catalog = snapshot->match_features;
   std::unordered_map<SchemaId, std::shared_ptr<const SchemaFeatures>> pruned =
       catalog->features();
   ASSERT_FALSE(pruned.empty());
@@ -328,17 +219,11 @@ TEST(EnginePrefilterTest, MissingCatalogEntryIsNeverRejected) {
       std::shared_ptr<const DfTable>(catalog, &catalog->df()));
 
   SearchEngine engine(snapshot);
-  SearchEngineOptions screened;
-  screened.prefilter = 0.9999;
-  auto schema = f.repo->Get(dropped);
+  auto schema = f.snapshot->schemas->Get(dropped);
   ASSERT_TRUE(schema.ok());
-  // Query with the dropped schema's own name: it must be reachable even
-  // though everything with a signature is screened out at this threshold.
-  auto results = engine.SearchKeywords(schema->name(), screened);
-  ASSERT_TRUE(results.ok());
-  bool present = false;
-  for (const SearchResult& r : *results) present |= r.schema_id == dropped;
-  EXPECT_TRUE(present);
+  auto results = engine.SearchKeywords(schema->name());
+  ASSERT_FALSE(results.ok());
+  EXPECT_EQ(results.status().code(), StatusCode::kInternal);
 }
 
 TEST(EnginePrefilterTest, PrefilterJoinsOptionsHash) {
@@ -489,34 +374,193 @@ TEST_F(SignatureFileTest, TruncatedHeaderIsParseError) {
 // --- serving corpus ---------------------------------------------------------------
 
 TEST_F(SignatureFileTest, ServingCorpusPublishesAndPersistsCatalog) {
-  auto repo = SchemaRepository::OpenInMemory();
-  for (Schema& s : SmallCorpus(6)) {
-    ASSERT_TRUE(repo->Insert(std::move(s)).ok());
+  {
+    auto repo = SchemaRepository::Open(dir_.string());
+    ASSERT_TRUE(repo.ok()) << repo.status();
+    for (Schema& s : SmallCorpus(6)) {
+      ASSERT_TRUE((*repo)->Insert(std::move(s)).ok());
+    }
   }
-  auto corpus = ServingCorpus::Create(std::move(repo));
+  // First open builds every signature and writes the file.
+  {
+    auto corpus = ServingCorpus::Open(dir_.string());
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    auto snapshot = (*corpus)->Snapshot();
+    ASSERT_NE(snapshot->match_features, nullptr);
+    EXPECT_EQ(snapshot->match_features->size(), 6u);
+    EXPECT_EQ((*corpus)->last_build_stats().signatures_built, 6u);
+
+    // Incremental ingest extends the catalog in the next snapshot.
+    ASSERT_TRUE((*corpus)->Ingest(Clinic()).ok());
+    auto after = (*corpus)->Snapshot();
+    EXPECT_EQ(after->match_features->size(), 7u);
+    EXPECT_GT(after->version, snapshot->version);
+  }
+  // The ingested schema changed the corpus, so the stored file is stale:
+  // the next open rebuilds and rewrites it; the one after adopts every
+  // signature from it.
+  {
+    auto corpus = ServingCorpus::Open(dir_.string());
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    EXPECT_EQ((*corpus)->last_build_stats().signatures_built, 7u);
+  }
+  auto corpus = ServingCorpus::Open(dir_.string());
   ASSERT_TRUE(corpus.ok()) << corpus.status();
+  const CatalogBuildStats stats = (*corpus)->last_build_stats();
+  EXPECT_EQ(stats.signatures_loaded, 7u);
+  EXPECT_EQ(stats.signatures_built, 0u);
+}
 
-  auto snapshot = (*corpus)->Snapshot();
-  ASSERT_NE(snapshot->match_features, nullptr);
-  EXPECT_EQ(snapshot->match_features->size(), 6u);
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
-  // Incremental ingest extends the catalog in the next snapshot.
-  ASSERT_TRUE((*corpus)->Ingest(Clinic()).ok());
-  auto after = (*corpus)->Snapshot();
-  EXPECT_EQ(after->match_features->size(), 7u);
-  EXPECT_GT(after->version, snapshot->version);
+TEST_F(SignatureFileTest, ReopeningAnUnchangedRepoWritesNothing) {
+  {
+    auto repo = SchemaRepository::Open(dir_.string());
+    ASSERT_TRUE(repo.ok()) << repo.status();
+    for (Schema& s : SmallCorpus(8)) {
+      ASSERT_TRUE((*repo)->Insert(std::move(s)).ok());
+    }
+  }
+  { ASSERT_TRUE(ServingCorpus::Open(dir_.string()).ok()); }
+  const std::string bytes = ReadBytes(SigPath());
+  ASSERT_FALSE(bytes.empty());
+  // Backdate the file so any rewrite, even of identical bytes, shows.
+  const auto backdated = fs::last_write_time(SigPath()) - std::chrono::hours(1);
+  fs::last_write_time(SigPath(), backdated);
 
-  // Reindex with persistence: first run builds and writes the file,
-  // second run adopts every signature from it.
-  CatalogBuildStats first;
-  ASSERT_TRUE(
-      (*corpus)->ReindexWithStoredSignatures(SigPath(), &first).ok());
-  EXPECT_EQ(first.signatures_built, 7u);
-  CatalogBuildStats second;
-  ASSERT_TRUE(
-      (*corpus)->ReindexWithStoredSignatures(SigPath(), &second).ok());
-  EXPECT_EQ(second.signatures_loaded, 7u);
-  EXPECT_EQ(second.signatures_built, 0u);
+  auto corpus = ServingCorpus::Open(dir_.string());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  const CatalogBuildStats stats = (*corpus)->last_build_stats();
+  EXPECT_EQ(stats.signatures_loaded, 8u);
+  EXPECT_EQ(stats.signatures_built, 0u);
+  EXPECT_EQ(stats.corrupt_records, 0u);
+  EXPECT_EQ(fs::last_write_time(SigPath()), backdated);
+  EXPECT_EQ(ReadBytes(SigPath()), bytes);
+}
+
+TEST_F(SignatureFileTest, CorruptRecordIsRebuiltAndRewrittenOnOpen) {
+  {
+    auto repo = SchemaRepository::Open(dir_.string());
+    ASSERT_TRUE(repo.ok()) << repo.status();
+    for (Schema& s : SmallCorpus(5)) {
+      ASSERT_TRUE((*repo)->Insert(std::move(s)).ok());
+    }
+  }
+  { ASSERT_TRUE(ServingCorpus::Open(dir_.string()).ok()); }
+  const std::string good = ReadBytes(SigPath());
+  std::string flipped = good;
+  flipped[40] ^= 0x40;  // inside the first record, past the 24-byte header
+  std::ofstream(SigPath(), std::ios::binary | std::ios::trunc) << flipped;
+
+  auto corpus = ServingCorpus::Open(dir_.string());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  EXPECT_EQ((*corpus)->last_build_stats().corrupt_records, 1u);
+  EXPECT_EQ((*corpus)->last_build_stats().signatures_built, 1u);
+  // The repaired file holds the same records as the original.
+  auto reloaded = LoadSignatures(SigPath());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->corrupt_records, 0u);
+  EXPECT_EQ(reloaded->signatures.size(), 5u);
+}
+
+// --- catalog/view invariant under mutation ------------------------------------------
+
+/// Ids of every schema in the view, and of every catalog entry.
+std::set<SchemaId> ViewIds(const CorpusSnapshot& snapshot) {
+  std::set<SchemaId> ids;
+  EXPECT_TRUE(snapshot.schemas->ForEach([&ids](const Schema& schema) {
+                ids.insert(schema.id());
+                return Status::OK();
+              }).ok());
+  return ids;
+}
+
+std::set<SchemaId> CatalogIds(const CorpusSnapshot& snapshot) {
+  std::set<SchemaId> ids;
+  for (const auto& [id, features] : snapshot.match_features->features()) {
+    ids.insert(id);
+  }
+  return ids;
+}
+
+/// Exact-mode digests of a fixed probe set.
+std::vector<uint64_t> ProbeDigests(const ServingCorpus& corpus) {
+  static const char* kProbes[] = {
+      "patient height gender", "customer order total",
+      "movie title director",  "flight departure arrival airport",
+      "inventory stock",       "visit diagnosis date",
+  };
+  SearchEngine engine(&corpus);
+  std::vector<uint64_t> digests;
+  for (const char* probe : kProbes) {
+    auto results = engine.SearchKeywords(probe);
+    EXPECT_TRUE(results.ok()) << results.status();
+    digests.push_back(results.ok() ? DigestResults(*results) : 0);
+  }
+  return digests;
+}
+
+// Every snapshot's catalog covers exactly its schema view (the engine
+// treats a missing entry as Internal), and the exact answers of a
+// mutated corpus equal those of a fresh Open of the same directory,
+// through the persisted-segment branch and the rebuild branch.
+// Approximate (prefilter > 0) digests are deliberately not compared:
+// incremental ingest signs a schema under the document frequencies of
+// that moment, so approximate windows still depend on ingest history.
+TEST_F(SignatureFileTest, RandomMutationsKeepCatalogAndViewInStep) {
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    std::vector<Schema> pool = SmallCorpus(30, 100 + seed);
+    {
+      auto repo = SchemaRepository::Open(dir_.string());
+      ASSERT_TRUE(repo.ok()) << repo.status();
+      for (size_t i = 0; i < 8; ++i) ASSERT_TRUE((*repo)->Insert(pool[i]).ok());
+    }
+    std::vector<uint64_t> live;
+    {
+      auto opened = ServingCorpus::Open(dir_.string());
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      ServingCorpus& corpus = **opened;
+      Rng rng(seed);
+      size_t next = 8;
+      for (int step = 0; step < 40; ++step) {
+        std::vector<SchemaId> ids;
+        for (SchemaId id : ViewIds(*corpus.Snapshot())) ids.push_back(id);
+        const uint64_t op = rng.NextBelow(3);
+        if (op == 0 || ids.size() < 3) {
+          ASSERT_TRUE(corpus.Ingest(pool[next++ % pool.size()]).ok());
+        } else if (op == 1) {
+          Schema replacement = pool[next++ % pool.size()];
+          replacement.set_id(ids[rng.NextBelow(ids.size())]);
+          ASSERT_TRUE(corpus.Update(std::move(replacement)).ok());
+        } else {
+          ASSERT_TRUE(corpus.Remove(ids[rng.NextBelow(ids.size())]).ok());
+        }
+        const auto snapshot = corpus.Snapshot();
+        ASSERT_EQ(CatalogIds(*snapshot), ViewIds(*snapshot)) << "step " << step;
+      }
+      live = ProbeDigests(corpus);
+    }
+    {
+      auto segment = ServingCorpus::Open(dir_.string());
+      ASSERT_TRUE(segment.ok()) << segment.status();
+      EXPECT_FALSE((*segment)->index_open_stats().rebuilt);
+      const auto snapshot = (*segment)->Snapshot();
+      EXPECT_EQ(CatalogIds(*snapshot), ViewIds(*snapshot));
+      EXPECT_EQ(ProbeDigests(**segment), live);
+    }
+    fs::remove(dir_ / "segment.idx");
+    auto rebuilt = ServingCorpus::Open(dir_.string());
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    EXPECT_TRUE((*rebuilt)->index_open_stats().rebuilt);
+    EXPECT_EQ(ProbeDigests(**rebuilt), live);
+  }
 }
 
 }  // namespace
